@@ -82,7 +82,7 @@ inline constexpr std::string_view kKnownMetrics[] = {
     "scheduler.queue_depth",    // current pending requests (gauge)
     "scheduler.rejected",       // submitted after shutdown
     "scheduler.retried",        // backend re-invocations (transient errors)
-    "scheduler.served",         // resolved through the backend
+    "scheduler.served",         // answered: backend, batchmate or cache
     "scheduler.shed",           // refused: queue at max_queue_depth
     "scheduler.submitted",
     "server.request_us",        // server-side end-to-end latency per query

@@ -49,13 +49,12 @@ BatchScheduler::BatchScheduler(Backend backend,
       metrics_(ResolveMetrics()) {
   KDASH_CHECK(backend_ != nullptr);
   KDASH_CHECK(options_.max_batch_size >= 1);
-  KDASH_CHECK(options_.max_wait.count() >= 0);
   KDASH_CHECK(options_.max_retries >= 0);
   KDASH_CHECK(options_.retry_backoff.count() >= 0);
   if (options_.cache_entries > 0) {
     cache_ = std::make_unique<ResultCache>(options_.cache_entries);
     if (options_.backend_epoch != nullptr) {
-      last_backend_epoch_ = options_.backend_epoch();
+      cache_->SyncEpoch(options_.backend_epoch());
     }
   }
   scheduler_ = std::thread([this] { SchedulerLoop(); });
@@ -82,6 +81,14 @@ std::future<Result<SearchResult>> BatchScheduler::Submit(
   if (request.query.trace != nullptr) {
     request.trace_submit_us = request.query.trace->ElapsedUs();
   }
+  // Poll before the lookup: a mutation that returned before this Submit
+  // purges the cache before it can answer (see backend_epoch).
+  const bool consult_cache =
+      cache_ != nullptr && request.deadline > request.arrival;
+  if (consult_cache && options_.backend_epoch != nullptr) {
+    cache_->SyncEpoch(options_.backend_epoch());
+  }
+  SearchResult cached;
   bool wake = false;
   {
     MutexLock lock(mutex_);
@@ -90,6 +97,23 @@ std::future<Result<SearchResult>> BatchScheduler::Submit(
       metrics_.rejected->Add();
       request.promise.set_value(Status::Unavailable(
           "batch scheduler is shut down and not accepting requests"));
+      return future;
+    }
+    // A miss is counted at dispatch, where the request is looked up again.
+    if (consult_cache &&
+        cache_->Lookup(request.query, &cached, /*count_miss=*/false)) {
+      ++stats_.submitted;
+      ++stats_.served;
+      metrics_.submitted->Add();
+      metrics_.served->Add();
+      lock.Unlock();
+      if (request.query.trace != nullptr) {
+        const std::uint64_t end_us = request.query.trace->ElapsedUs();
+        request.query.trace->Record("scheduler.cache_hit",
+                                    request.trace_submit_us,
+                                    end_us - request.trace_submit_us);
+      }
+      request.promise.set_value(std::move(cached));
       return future;
     }
     if (options_.max_queue_depth > 0 &&
@@ -108,12 +132,9 @@ std::future<Result<SearchResult>> BatchScheduler::Submit(
     metrics_.submitted->Add();
     queue_.push_back(std::move(request));
     metrics_.queue_depth->Set(static_cast<std::int64_t>(queue_.size()));
-    // Wake the scheduler only when this submission changes what it can do:
-    // the queue just became non-empty (it may be idle-waiting) or just
-    // filled a batch (it may be waiting out max_wait). Intermediate
-    // submissions ride along for free — at high load this drops the
-    // notify cost from one per request to two per batch.
-    wake = queue_.size() == 1 || queue_.size() == options_.max_batch_size;
+    // The scheduler only ever waits on an empty queue, so only the
+    // submission that makes it non-empty needs to wake it.
+    wake = queue_.size() == 1;
   }
   if (wake) wake_scheduler_.NotifyOne();
   return future;
@@ -125,16 +146,7 @@ void BatchScheduler::SchedulerLoop() {
     while (!shutdown_ && queue_.empty()) wake_scheduler_.Wait(mutex_);
     if (queue_.empty()) return;  // shutdown with nothing left to drain
 
-    // Batch-forming policy: dispatch when full, when the oldest pending
-    // request has waited max_wait, or when draining after shutdown.
-    const Clock::time_point flush_at = queue_.front().arrival + options_.max_wait;
-    while (!shutdown_ && queue_.size() < options_.max_batch_size) {
-      if (wake_scheduler_.WaitUntil(mutex_, flush_at) ==
-          std::cv_status::timeout) {
-        break;
-      }
-    }
-
+    // Work-conserving: the backend is free, so dispatch what is queued.
     std::vector<Request> batch;
     const std::size_t take = std::min(queue_.size(), options_.max_batch_size);
     batch.reserve(take);
@@ -153,17 +165,6 @@ void BatchScheduler::SchedulerLoop() {
 }
 
 void BatchScheduler::RunBatch(std::vector<Request> batch) {
-  // Invalidate before any lookup: a mutation that returned before a request
-  // was submitted happens-before this poll, so that request can never read
-  // a pre-mutation entry below.
-  if (cache_ != nullptr && options_.backend_epoch != nullptr) {
-    const std::uint64_t backend_epoch = options_.backend_epoch();
-    if (backend_epoch != last_backend_epoch_) {
-      last_backend_epoch_ = backend_epoch;
-      cache_->Invalidate();
-    }
-  }
-
   // Expire overdue requests without touching the backend. Their promises
   // are fulfilled below, after the stats update — a caller that has seen
   // all its futures resolve must also see them counted.
@@ -264,7 +265,8 @@ void BatchScheduler::RunBatch(std::vector<Request> batch) {
     if (cache_ == nullptr) {
       per_unique = invoke(queries);
     } else {
-      // Cache path: look every distinct query up, run only the misses, and
+      // Cache path: look every distinct query up again (an identical query
+      // may have been answered since Submit), run only the misses, and
       // admit their results under the epoch captured before the backend ran
       // (an Invalidate in between rejects the admission).
       const std::uint64_t admit_epoch = cache_->epoch();

@@ -1,25 +1,26 @@
 // kdash::serving::BatchScheduler — async request coalescing.
 //
-// A single synchronous Engine::Search per client request leaves throughput
-// on the table: with C clients and T cores, C < T cores sit idle, and every
-// request pays its own dispatch. The scheduler turns independent requests
-// into micro-batches: Submit() enqueues a query and returns a future
-// immediately; one scheduler thread pops up to max_batch_size requests —
-// waiting at most max_wait after the oldest arrival so a lone request is
-// never stuck — and runs them as one SearchBatch through the backend, which
-// fans the batch across the process-wide thread pool (KDASH_NUM_THREADS;
-// the scheduler itself adds exactly one thread, never a second pool).
-//
-// Batching also shares work sync execution cannot: identical requests in a
-// batch (hot queries of a head-heavy production stream) are coalesced —
-// computed once, answered everywhere.
+// Submit() enqueues a query and returns a future immediately; one
+// scheduler thread runs the queue through the backend as SearchBatch
+// micro-batches, which fan out across the process-wide thread pool
+// (KDASH_NUM_THREADS; the scheduler itself adds exactly one thread).
+// Dispatch is work-conserving: the moment the previous batch returns, the
+// scheduler takes whatever is queued (up to max_batch_size). One batch is
+// in flight at a time, so batches form only from requests that arrive
+// while one runs; a timed wait could only delay work the backend was free
+// to start. Identical requests in a batch are coalesced — computed once,
+// answered everywhere. With a result cache, Submit answers a cached query
+// on the caller's thread: the future is ready on return, and the request
+// never queues.
 //
 // Contracts:
 //   - Submit is thread-safe; results are identical to calling the backend
-//     synchronously per query (coalescing only merges *identical* queries,
-//     whose results are deterministic and equal).
+//     synchronously per query (coalescing and the cache only share the
+//     answers of *identical* queries, which are deterministic).
 //   - A request whose deadline passes before its batch is dispatched
-//     resolves to kDeadlineExceeded — it never reaches the backend.
+//     resolves to kDeadlineExceeded — it never reaches the backend. A
+//     request whose deadline has already passed at Submit skips the
+//     inline cache lookup and expires the same way.
 //   - Shutdown() (and the destructor) stops accepting new work, drains
 //     every already-accepted request (deadlines still honored), then joins
 //     the scheduler thread. Submissions after shutdown resolve immediately
@@ -31,6 +32,7 @@
 //     past that, Submit resolves immediately to kResourceExhausted (shed)
 //     instead of queueing unboundedly — under overload latency stays
 //     bounded and the client gets a machine-readable "back off" signal.
+//     Inline cache hits never queue, so they are never shed.
 //   - Transient backend failures (kUnavailable, kResourceExhausted — e.g.
 //     an injected fault or a momentarily overloaded sharded backend) are
 //     retried with bounded exponential backoff before the error reaches
@@ -59,10 +61,8 @@
 namespace kdash::serving {
 
 struct BatchSchedulerOptions {
-  // Dispatch as soon as this many requests are pending...
+  // The most requests one backend call serves.
   std::size_t max_batch_size = 64;
-  // ...or when the oldest pending request has waited this long.
-  std::chrono::microseconds max_wait{500};
 
   // Admission control: shed (kResourceExhausted) any Submit that would
   // leave more than this many requests queued. 0 = unbounded (the
@@ -78,19 +78,20 @@ struct BatchSchedulerOptions {
   std::chrono::microseconds retry_backoff{200};
   std::chrono::microseconds max_retry_backoff{20'000};
 
-  // Cross-batch result cache (serving/result_cache.h): keep the complete
-  // results of up to this many distinct queries and answer repeats without
-  // touching the backend. 0 (the default) disables caching — results and
-  // stats are then exactly the pre-cache scheduler's.
+  // Result cache (serving/result_cache.h): keep the complete results of up
+  // to this many distinct queries and answer repeats without touching the
+  // backend. 0 (the default) disables caching — results and stats are then
+  // exactly the pre-cache scheduler's.
   std::size_t cache_entries = 0;
 
-  // Invalidation hook for updatable backends: polled once per batch; when
-  // the returned value differs from the last poll the cache is purged
-  // before any lookup. Wire it to Engine::update_epoch so a query submitted
-  // after AddEdge/RemoveEdge returns can never see a pre-mutation entry
-  // (the mutation happens-before Submit, Submit happens-before the batch's
-  // poll, and the poll invalidates before the batch's lookups). Leave unset
-  // for immutable backends.
+  // Invalidation hook for updatable backends, polled by every Submit that
+  // consults the cache, on the submitting thread (so it must be
+  // thread-safe): when the value differs from the last poll, the cache is
+  // purged before the lookup. Wire it to Engine::update_epoch so a query
+  // submitted after AddEdge/RemoveEdge returns can never see a pre-mutation
+  // entry (the mutation happens-before Submit's poll, which purges before
+  // Submit's and the later dispatch-time lookup). Leave unset for
+  // immutable backends.
   std::function<std::uint64_t()> backend_epoch;
 };
 
@@ -108,10 +109,11 @@ class BatchScheduler {
   BatchScheduler(const BatchScheduler&) = delete;
   BatchScheduler& operator=(const BatchScheduler&) = delete;
 
-  // Enqueue one query; the future resolves when its batch completes. The
-  // optional timeout is measured from submission: a request still queued
-  // when it expires resolves to kDeadlineExceeded. timeout <= 0 (the
-  // default) means no deadline.
+  // Enqueue one query; the future resolves when its batch completes, or is
+  // ready on return when the result cache answers it. The optional timeout
+  // is measured from submission: a request still queued when it expires
+  // resolves to kDeadlineExceeded. timeout <= 0 (the default) means no
+  // deadline.
   [[nodiscard]] std::future<Result<SearchResult>> Submit(
       Query query,
       std::chrono::steady_clock::duration timeout =
@@ -128,11 +130,12 @@ class BatchScheduler {
   // Every Submit call lands in exactly one of {rejected, shed, submitted},
   // and every submitted request eventually lands in exactly one of
   // {served, deadline_expired} — so after all futures resolve,
-  // submitted == served + deadline_expired.
+  // submitted == served + deadline_expired. Inline cache hits are
+  // submitted and served without a batch.
   struct Stats {
     std::uint64_t submitted = 0;
     std::uint64_t batches_dispatched = 0;
-    std::uint64_t served = 0;             // resolved through the backend
+    std::uint64_t served = 0;             // answered (backend/batchmate/cache)
     std::uint64_t coalesced = 0;          // duplicates answered by a batchmate
     std::uint64_t deadline_expired = 0;   // resolved to kDeadlineExceeded
     std::uint64_t rejected = 0;           // submitted after shutdown
@@ -179,10 +182,11 @@ class BatchScheduler {
   static Metrics ResolveMetrics();
 
   void SchedulerLoop() KDASH_EXCLUDES(mutex_);
-  // Resolves a popped batch: expired requests get kDeadlineExceeded, the
-  // rest run through the backend (whole-batch first, per-request on a
-  // batch-level error). Runs with mutex_ released — the backend call is
-  // the long pole and must not block Submit.
+  // Resolves a popped batch: expired requests get kDeadlineExceeded, cache
+  // hits are answered from the cache, the rest run through the backend
+  // (whole-batch first, per-request on a batch-level error). Runs with
+  // mutex_ released — the backend call is the long pole and must not block
+  // Submit.
   void RunBatch(std::vector<Request> batch) KDASH_EXCLUDES(mutex_);
   // One backend call with the transient-retry policy (and the
   // "scheduler.dispatch" fault-injection site) applied.
@@ -193,11 +197,9 @@ class BatchScheduler {
   BatchSchedulerOptions options_;
   Metrics metrics_;
 
-  // Cross-batch result cache; null when cache_entries == 0. The cache has
-  // its own mutex; last_backend_epoch_ is touched only by the scheduler
-  // thread (RunBatch).
+  // Result cache; null when cache_entries == 0. The cache has its own
+  // mutex, taken inside mutex_ by Submit and without it by RunBatch.
   std::unique_ptr<ResultCache> cache_;
-  std::uint64_t last_backend_epoch_ = 0;
 
   mutable Mutex mutex_;
   Mutex join_mutex_;  // serializes concurrent Shutdown joins

@@ -27,11 +27,12 @@ ResultCache::ResultCache(std::size_t capacity)
   KDASH_CHECK(capacity >= 1);
 }
 
-bool ResultCache::Lookup(const Query& query, SearchResult* out) {
+bool ResultCache::Lookup(const Query& query, SearchResult* out,
+                         bool count_miss) {
   MutexLock lock(mutex_);
   const auto it = entries_.find(query);
   if (it == entries_.end()) {
-    m_miss_->Add();
+    if (count_miss) m_miss_->Add();
     return false;
   }
   ++it->second.hits;
@@ -78,6 +79,17 @@ void ResultCache::Admit(const Query& query, std::uint64_t epoch_at_invoke,
 
 void ResultCache::Invalidate() {
   MutexLock lock(mutex_);
+  InvalidateLocked();
+}
+
+void ResultCache::SyncEpoch(std::uint64_t backend_epoch) {
+  MutexLock lock(mutex_);
+  if (backend_epoch == backend_epoch_) return;
+  backend_epoch_ = backend_epoch;
+  InvalidateLocked();
+}
+
+void ResultCache::InvalidateLocked() {
   ++epoch_;
   if (!entries_.empty()) {
     m_invalidated_->Add(entries_.size());

@@ -1,11 +1,12 @@
-// kdash::serving::ResultCache — cross-batch answers for repeated queries.
+// kdash::serving::ResultCache — answers for repeated queries.
 //
 // Scheduler coalescing dedups identical queries *within* one batch; a
 // head-heavy stream (hot users/items in a degree-weighted workload) repeats
-// its head *across* batches too, recomputing the same answer every
-// max_wait. This cache closes that gap: a bounded map from query identity
-// to its complete SearchResult, consulted by BatchScheduler::RunBatch
-// before the backend is invoked.
+// its head *across* batches too. This cache closes that gap: a bounded map
+// from query identity to its complete SearchResult. BatchScheduler consults
+// it twice: in Submit, on the caller's thread, so a hit is answered without
+// queueing; and in RunBatch, for the requests that missed at Submit, since
+// an identical query may have been answered while they waited.
 //
 // Semantics:
 //   - Keying. Entries are keyed on the same total order CompareQueries
@@ -19,13 +20,13 @@
 //   - Invalidation. The cache carries an epoch; Invalidate() bumps it and
 //     purges every entry. Admit() rejects any result whose backend
 //     invocation started under an older epoch, so a result computed while
-//     the graph mutated can never be served afterwards.
+//     the graph mutated can never be served afterwards. SyncEpoch() does
+//     the same when a backend's own mutation counter has moved.
 //   - Degraded results (shards_failed > 0) are never admitted: a complete
 //     answer computed later must not be shadowed by a cached partial one.
 //
-// Thread-safe; one mutex. The scheduler thread is the only hot-path caller,
-// so contention is not a concern — correctness under an external
-// InvalidateCache() is.
+// Thread-safe; one mutex. Every submitting thread and the scheduler thread
+// call it on the hot path, so every operation is a short critical section.
 #ifndef KDASH_SERVING_RESULT_CACHE_H_
 #define KDASH_SERVING_RESULT_CACHE_H_
 
@@ -56,8 +57,11 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   // On hit copies the cached result into `out`, bumps the entry's hit
-  // count, and returns true. Counts cache.hit / cache.miss.
-  bool Lookup(const Query& query, SearchResult* out) KDASH_EXCLUDES(mutex_);
+  // count, and returns true. Counts cache.hit, and cache.miss when
+  // `count_miss` is set: a caller that will look the query up again later
+  // passes false, so each request counts at most once.
+  bool Lookup(const Query& query, SearchResult* out, bool count_miss = true)
+      KDASH_EXCLUDES(mutex_);
 
   // The current epoch. Capture it BEFORE invoking the backend and pass it
   // to Admit: an Invalidate between the two then rejects the admission.
@@ -74,6 +78,12 @@ class ResultCache {
   // purged entries). Call on any backend graph mutation.
   void Invalidate() KDASH_EXCLUDES(mutex_);
 
+  // Invalidate() if `backend_epoch` differs from the value of the previous
+  // call (initially 0). Feed it an updatable backend's mutation counter
+  // before a lookup: a mutation that happens-before the poll then purges
+  // every entry computed before it.
+  void SyncEpoch(std::uint64_t backend_epoch) KDASH_EXCLUDES(mutex_);
+
   std::size_t size() const KDASH_EXCLUDES(mutex_);
 
  private:
@@ -88,6 +98,8 @@ class ResultCache {
     std::uint64_t last_use = 0;
   };
 
+  void InvalidateLocked() KDASH_REQUIRES(mutex_);
+
   const std::size_t capacity_;
 
   // Registry handles resolved once (metric lookup locks; Lookup must not).
@@ -100,6 +112,7 @@ class ResultCache {
   std::map<Query, Entry, QueryLess> entries_ KDASH_GUARDED_BY(mutex_);
   std::uint64_t epoch_ KDASH_GUARDED_BY(mutex_) = 0;
   std::uint64_t tick_ KDASH_GUARDED_BY(mutex_) = 0;  // LRU clock
+  std::uint64_t backend_epoch_ KDASH_GUARDED_BY(mutex_) = 0;  // SyncEpoch
 };
 
 }  // namespace kdash::serving

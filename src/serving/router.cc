@@ -433,6 +433,7 @@ Result<std::vector<SearchResult>> Router::FanOut(
       }
       merged.nodes_visited += partial.stats.nodes_visited;
       merged.proximity_computations += partial.stats.proximity_computations;
+      merged.tree_size += partial.stats.tree_size;
       merged.terminated_early |= partial.stats.terminated_early;
     }
     results[q].top = heap.Sorted();

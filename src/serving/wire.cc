@@ -186,6 +186,10 @@ Result<ParsedRecord> ParseRecordLine(const std::string& line) {
   }
   record.result.stats.nodes_visited = static_cast<NodeId>(visited);
   record.result.stats.proximity_computations = static_cast<NodeId>(computed);
+  long long tree = 0;  // optional: an absent field reads as 0
+  if (ParseIntField(line, "tree", &tree)) {
+    record.result.stats.tree_size = static_cast<NodeId>(tree);
+  }
   record.result.stats.terminated_early =
       line.find("\"pruned\":true") != std::string::npos;
   long long shards_ok = 0;

@@ -1,6 +1,9 @@
-// BatchScheduler semantics: coalescing never changes answers, deadlines
-// surface kDeadlineExceeded, shutdown drains every accepted future, and
-// post-shutdown submissions are rejected with kUnavailable.
+// BatchScheduler semantics: dispatch is work-conserving (requests queued
+// behind an in-flight batch form the next one), coalescing never changes
+// answers, deadlines surface kDeadlineExceeded, shutdown drains every
+// accepted future, and post-shutdown submissions are rejected with
+// kUnavailable. Batch composition is pinned with test::FirstCallGate, not
+// with timing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -46,15 +49,56 @@ TEST(BatchSchedulerTest, SingleSubmitMatchesDirectSearch) {
   }
 }
 
+TEST(BatchSchedulerTest, QueuedBehindInFlightBatchDispatchTogether) {
+  const Engine engine = BuildTestEngine();
+  test::FirstCallGate gate;
+  std::vector<std::size_t> batch_sizes;  // written by the scheduler thread
+  BatchSchedulerOptions options;
+  options.max_batch_size = 32;
+  BatchScheduler scheduler(
+      [&](std::span<const Query> queries) {
+        batch_sizes.push_back(queries.size());
+        gate.Pass();
+        return engine.SearchBatch(queries);
+      },
+      options);
+
+  auto occupant = scheduler.Submit(Query::Single(0, 5));
+  gate.WaitEntered();
+  constexpr std::size_t kQueued = 12;
+  std::vector<std::future<Result<SearchResult>>> futures;
+  for (std::size_t q = 1; q <= kQueued; ++q) {
+    futures.push_back(
+        scheduler.Submit(Query::Single(static_cast<NodeId>(q), 5)));
+  }
+  gate.Release();
+  ASSERT_TRUE(occupant.get().ok());
+  for (auto& future : futures) ASSERT_TRUE(future.get().ok());
+
+  const auto stats = scheduler.stats();
+  EXPECT_EQ(stats.batches_dispatched, 2u);
+  EXPECT_EQ(batch_sizes, (std::vector<std::size_t>{1, kQueued}));
+}
+
 TEST(BatchSchedulerTest, ConcurrentSubmittersMatchSequentialResults) {
   const Engine engine = BuildTestEngine();
+  test::FirstCallGate gate;
   BatchSchedulerOptions options;
   options.max_batch_size = 16;
-  options.max_wait = milliseconds(1);
-  BatchScheduler scheduler(EngineBackend(engine), options);
+  BatchScheduler scheduler(
+      [&](std::span<const Query> queries) {
+        gate.Pass();
+        return engine.SearchBatch(queries);
+      },
+      options);
 
+  // The occupant pins the first batch until every submitter has queued its
+  // whole slice, so the rest dispatch as full batches of 16.
+  auto occupant = scheduler.Submit(Query::Single(0, 5));
+  gate.WaitEntered();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 40;
+  std::atomic<int> submitted{0};
   std::vector<std::thread> submitters;
   std::vector<std::vector<Result<SearchResult>>> outcomes(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -66,12 +110,16 @@ TEST(BatchSchedulerTest, ConcurrentSubmittersMatchSequentialResults) {
         if (i % 4 == 0) query.exclude = {static_cast<NodeId>(t)};
         futures.push_back(scheduler.Submit(query));
       }
+      ++submitted;
       for (auto& future : futures) {
         outcomes[static_cast<std::size_t>(t)].push_back(future.get());
       }
     });
   }
+  while (submitted.load() < kThreads) std::this_thread::yield();
+  gate.Release();
   for (auto& submitter : submitters) submitter.join();
+  ASSERT_TRUE(occupant.get().ok());
 
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
@@ -92,10 +140,9 @@ TEST(BatchSchedulerTest, ConcurrentSubmittersMatchSequentialResults) {
   }
 
   const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, kThreads * kPerThread);
-  EXPECT_EQ(stats.served, kThreads * kPerThread);
-  // Coalescing actually happened: strictly fewer dispatches than requests.
-  EXPECT_LT(stats.batches_dispatched, stats.submitted);
+  EXPECT_EQ(stats.submitted, kThreads * kPerThread + 1);
+  EXPECT_EQ(stats.served, kThreads * kPerThread + 1);
+  EXPECT_EQ(stats.batches_dispatched, 1u + kThreads * kPerThread / 16);
 }
 
 TEST(BatchSchedulerTest, ExpiredRequestsGetDeadlineExceeded) {
@@ -104,7 +151,6 @@ TEST(BatchSchedulerTest, ExpiredRequestsGetDeadlineExceeded) {
   std::atomic<int> backend_calls{0};
   BatchSchedulerOptions options;
   options.max_batch_size = 1;  // each request dispatches alone
-  options.max_wait = milliseconds(0);
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
         ++backend_calls;
@@ -128,7 +174,6 @@ TEST(BatchSchedulerTest, ShutdownDrainsAcceptedFutures) {
   const Engine engine = BuildTestEngine();
   BatchSchedulerOptions options;
   options.max_batch_size = 8;
-  options.max_wait = milliseconds(50);  // long: shutdown must not wait it out
   BatchScheduler scheduler(EngineBackend(engine), options);
 
   std::vector<std::future<Result<SearchResult>>> futures;
@@ -157,20 +202,26 @@ TEST(BatchSchedulerTest, SubmitAfterShutdownIsUnavailable) {
 
 TEST(BatchSchedulerTest, IdenticalRequestsCoalesceToOneComputation) {
   const Engine engine = BuildTestEngine();
+  test::FirstCallGate gate;
   std::atomic<std::uint64_t> backend_queries{0};
   BatchSchedulerOptions options;
   options.max_batch_size = 32;
-  options.max_wait = milliseconds(50);  // let every submission join one batch
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) {
+        gate.Pass();
         backend_queries += queries.size();
         return engine.SearchBatch(queries);
       },
       options);
 
+  // Every hot submission queues behind the pinned occupant: one batch.
+  auto occupant = scheduler.Submit(Query::Single(0, 10));
+  gate.WaitEntered();
   const Query hot = Query::Single(5, 10);
   std::vector<std::future<Result<SearchResult>>> futures;
   for (int i = 0; i < 20; ++i) futures.push_back(scheduler.Submit(hot));
+  gate.Release();
+  ASSERT_TRUE(occupant.get().ok());
 
   const auto direct = engine.Search(hot);
   ASSERT_TRUE(direct.ok());
@@ -185,14 +236,14 @@ TEST(BatchSchedulerTest, IdenticalRequestsCoalesceToOneComputation) {
   }
 
   const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.served, 20u);
-  // Duplicates shared a computation: the backend saw fewer queries than
-  // were submitted, and the difference is accounted as coalesced.
-  EXPECT_LT(backend_queries.load(), 20u);
-  EXPECT_EQ(backend_queries.load() + stats.coalesced, 20u);
+  EXPECT_EQ(stats.served, 21u);
+  // The twenty duplicates shared one computation; the other nineteen are
+  // accounted as coalesced.
+  EXPECT_EQ(backend_queries.load(), 2u);  // the occupant and the hot query
+  EXPECT_EQ(stats.coalesced, 19u);
 }
 
-// ---- stress: degenerate deadlines, zero batching windows, shutdown races.
+// ---- stress: degenerate deadlines, back-to-back dispatch, shutdown races.
 
 TEST(BatchSchedulerStressTest, AlreadyExpiredDeadlineNeverReachesBackend) {
   // A deadline of 1ns is expired on arrival for all practical purposes; the
@@ -204,7 +255,6 @@ TEST(BatchSchedulerStressTest, AlreadyExpiredDeadlineNeverReachesBackend) {
   std::atomic<std::uint64_t> backend_queries{0};
   BatchSchedulerOptions options;
   options.max_batch_size = 1;
-  options.max_wait = milliseconds(0);
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
         backend_queries += queries.size();
@@ -227,15 +277,14 @@ TEST(BatchSchedulerStressTest, AlreadyExpiredDeadlineNeverReachesBackend) {
   EXPECT_EQ(scheduler.stats().deadline_expired, 1u);
 }
 
-TEST(BatchSchedulerStressTest, MaxWaitZeroDispatchesImmediatelyWithoutHangs) {
-  // max_wait = 0 means "never hold a request for batching": the scheduler
-  // must dispatch whatever is queued the moment it wakes — a busy-spin-free
-  // fast path that is easy to get wrong (a wait_until on an already-passed
-  // time point that is not treated as an immediate timeout would hang).
+TEST(BatchSchedulerStressTest, BackToBackDispatchNeverLosesAWakeup) {
+  // Small batches under concurrent submitters: the scheduler re-dispatches
+  // the moment a batch returns and sleeps only on an empty queue, so a
+  // submission that lands while it is busy must never be stranded (the
+  // wake-up is only sent when the queue turns non-empty).
   const Engine engine = BuildTestEngine();
   BatchSchedulerOptions options;
   options.max_batch_size = 4;
-  options.max_wait = std::chrono::microseconds(0);
   BatchScheduler scheduler(EngineBackend(engine), options);
 
   constexpr int kThreads = 4;
@@ -270,7 +319,6 @@ TEST(BatchSchedulerStressTest, ShutdownRacingSubmitResolvesEveryFuture) {
   for (int round = 0; round < 4; ++round) {
     BatchSchedulerOptions options;
     options.max_batch_size = 8;
-    options.max_wait = milliseconds(1);
     BatchScheduler scheduler(EngineBackend(engine), options);
 
     constexpr int kThreads = 6;
@@ -318,20 +366,34 @@ TEST(BatchSchedulerStressTest, ShutdownRacingSubmitResolvesEveryFuture) {
 
 TEST(BatchSchedulerTest, BadRequestDoesNotPoisonItsBatch) {
   const Engine engine = BuildTestEngine();
+  test::FirstCallGate gate;
+  std::vector<std::size_t> batch_sizes;  // written by the scheduler thread
   BatchSchedulerOptions options;
   options.max_batch_size = 4;
-  options.max_wait = milliseconds(20);  // let all three land in one batch
-  BatchScheduler scheduler(EngineBackend(engine), options);
+  BatchScheduler scheduler(
+      [&](std::span<const Query> queries) {
+        batch_sizes.push_back(queries.size());
+        gate.Pass();
+        return engine.SearchBatch(queries);
+      },
+      options);
 
+  // All three land in one batch behind the pinned occupant.
+  auto occupant = scheduler.Submit(Query::Single(0, 5));
+  gate.WaitEntered();
   auto good1 = scheduler.Submit(Query::Single(1, 5));
   auto bad = scheduler.Submit(Query::Single(engine.num_nodes() + 7, 5));
   auto good2 = scheduler.Submit(Query::Single(2, 5));
+  gate.Release();
 
+  ASSERT_TRUE(occupant.get().ok());
   EXPECT_TRUE(good1.get().ok());
   EXPECT_TRUE(good2.get().ok());
   const auto bad_result = bad.get();
   ASSERT_FALSE(bad_result.ok());
   EXPECT_EQ(bad_result.status().code(), StatusCode::kInvalidArgument);
+  // The whole-batch call failed, then each request ran alone.
+  EXPECT_EQ(batch_sizes, (std::vector<std::size_t>{1, 3, 1, 1, 1}));
 }
 
 }  // namespace

@@ -150,7 +150,6 @@ TEST_F(ChaosTest, SchedulerDispatchFaultsResolveEveryFuture) {
 
   BatchSchedulerOptions options;
   options.max_batch_size = 8;
-  options.max_wait = std::chrono::milliseconds(1);
   options.max_retries = 1;  // some bursts of fires exhaust this: errors reach
   options.retry_backoff = std::chrono::microseconds(10);  // futures too
   BatchScheduler scheduler(
@@ -279,7 +278,6 @@ TEST_F(ChaosTest, FullStackMultiSiteChaos) {
 
   BatchSchedulerOptions options;
   options.max_batch_size = 8;
-  options.max_wait = std::chrono::milliseconds(1);
   options.max_queue_depth = 64;
   options.max_retries = 2;
   options.retry_backoff = std::chrono::microseconds(10);

@@ -49,7 +49,7 @@ class TestWorker {
  public:
   TestWorker(BatchScheduler::Backend backend, tools::StreamConfig config,
              int port = 0)
-      : scheduler_(std::move(backend), SchedulerOptions()),
+      : scheduler_(std::move(backend)),
         server_(scheduler_, config) {
     const Status listening = server_.Listen(port);
     KDASH_CHECK(listening.ok()) << listening;
@@ -71,12 +71,6 @@ class TestWorker {
   }
 
  private:
-  static BatchSchedulerOptions SchedulerOptions() {
-    BatchSchedulerOptions options;
-    options.max_wait = std::chrono::microseconds(100);
-    return options;
-  }
-
   BatchScheduler scheduler_;
   tools::LineServer server_;
   std::thread thread_;
@@ -193,10 +187,10 @@ TEST_F(RemoteServingTest, BitIdenticalToInProcessShardedEngine) {
       const std::string what =
           "P=" + std::to_string(num_shards) + " query " + std::to_string(i);
       ExpectBitIdentical(*got, *expected, what);
-      // Work accounting crosses the wire too (tree_size deliberately does
-      // not — it is a per-process memory figure, not per-query work).
+      // Work accounting crosses the wire too, tree sizes included.
       EXPECT_EQ(got->stats.nodes_visited, expected->stats.nodes_visited)
           << what;
+      EXPECT_EQ(got->stats.tree_size, expected->stats.tree_size) << what;
       EXPECT_EQ(got->stats.proximity_computations,
                 expected->stats.proximity_computations)
           << what;
@@ -215,6 +209,9 @@ TEST_F(RemoteServingTest, BitIdenticalToInProcessShardedEngine) {
     for (std::size_t i = 0; i < expected_batch->size(); ++i) {
       ExpectBitIdentical((*got_batch)[i], (*expected_batch)[i],
                          "batch query " + std::to_string(i));
+      EXPECT_EQ((*got_batch)[i].stats.tree_size,
+                (*expected_batch)[i].stats.tree_size)
+          << "batch query " << i;
     }
   }
 }
@@ -470,6 +467,7 @@ TEST_F(RemoteServingTest, WireRecordsRoundTripExactly) {
                 {2, static_cast<Scalar>(1.0) / 3}};
   result.stats.nodes_visited = 42;
   result.stats.proximity_computations = 17;
+  result.stats.tree_size = 64;
   const std::string record = tools::FormatResultRecord(
       9, query, result, /*t_us=*/5, /*hex_scores=*/true);
   auto parsed = wire::ParseRecordLine(record);
@@ -483,6 +481,17 @@ TEST_F(RemoteServingTest, WireRecordsRoundTripExactly) {
   }
   EXPECT_EQ(parsed->result.stats.nodes_visited, 42);
   EXPECT_EQ(parsed->result.stats.proximity_computations, 17);
+  EXPECT_EQ(parsed->result.stats.tree_size, 64);
+
+  // A record without the "tree" field parses with a tree size of 0.
+  const std::string tree_field = ",\"tree\":64";
+  std::string treeless = record;
+  ASSERT_NE(treeless.find(tree_field), std::string::npos) << record;
+  treeless.erase(treeless.find(tree_field), tree_field.size());
+  auto parsed_treeless = wire::ParseRecordLine(treeless);
+  ASSERT_TRUE(parsed_treeless.ok()) << parsed_treeless.status();
+  EXPECT_EQ(parsed_treeless->result.stats.tree_size, 0);
+  EXPECT_EQ(parsed_treeless->result.stats.proximity_computations, 17);
 
   // Error records carry the canonical code across the boundary.
   const std::string error_record = tools::FormatErrorRecord(

@@ -2,16 +2,22 @@
 // repeats of a cached query come back byte-identical without touching the
 // backend, eviction keeps the most-hit (then most-recently-used) entries,
 // degraded results are never admitted, and graph mutations invalidate —
-// a query submitted after AddEdge returns always sees a fresh answer.
+// a query submitted after AddEdge returns always sees a fresh answer. In
+// the scheduler, a hit at Submit resolves on the caller's thread, and each
+// request counts at most once as a hit or a miss.
 #include "serving/result_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serving/batch_scheduler.h"
 #include "test_util.h"
@@ -140,6 +146,20 @@ TEST(ResultCacheTest, InvalidatePurgesEverything) {
   EXPECT_EQ(cache.size(), 0u);
   SearchResult out;
   EXPECT_FALSE(cache.Lookup(Query::Single(1, 5), &out));
+}
+
+TEST(ResultCacheTest, SyncEpochPurgesOnlyWhenTheBackendEpochMoves) {
+  ResultCache cache(4);
+  cache.Admit(Query::Single(1, 5), cache.epoch(), MakeResult(1, 0.1));
+  cache.SyncEpoch(0);  // the initial backend epoch: nothing to purge
+  EXPECT_EQ(cache.size(), 1u);
+  const std::uint64_t epoch_before = cache.epoch();
+  cache.SyncEpoch(1);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_NE(cache.epoch(), epoch_before);  // in-flight admissions rejected
+  cache.Admit(Query::Single(1, 5), cache.epoch(), MakeResult(1, 0.1));
+  cache.SyncEpoch(1);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 // ---- Scheduler integration -------------------------------------------------
@@ -279,6 +299,185 @@ TEST(ResultCacheSchedulerTest, InvalidateCachePurgesManually) {
   scheduler.InvalidateCache();
   ASSERT_TRUE(scheduler.Submit(query).get().ok());
   EXPECT_EQ(backend.queries_served.load(), 2u);
+  scheduler.Shutdown();
+}
+
+TEST(ResultCacheSchedulerTest, InlineHitIsReadyWhenSubmitReturns) {
+  const auto engine = Engine::Build(test::RandomDirectedGraph(120, 700, 31));
+  ASSERT_TRUE(engine.ok());
+  CountingBackend backend{&*engine};
+  BatchSchedulerOptions options;
+  options.cache_entries = 16;
+  BatchScheduler scheduler(backend.AsBackend(), options);
+
+  const Query query = Query::Single(3, 10);
+  const auto first = scheduler.Submit(query).get();
+  ASSERT_TRUE(first.ok());
+  const auto before = scheduler.stats();
+  ASSERT_EQ(before.batches_dispatched, 1u);
+
+  // Answered on this thread: no queue, no wake-up, no batch.
+  Query traced = query;
+  traced.trace = std::make_shared<obs::TraceContext>();
+  auto future = scheduler.Submit(traced);
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const auto second = future.get();
+  ASSERT_TRUE(second.ok());
+  ExpectSameTop(*first, *second);
+  EXPECT_EQ(backend.queries_served.load(), 1u);
+  const auto after = scheduler.stats();
+  EXPECT_EQ(after.batches_dispatched, before.batches_dispatched);
+  EXPECT_EQ(after.submitted, 2u);
+  EXPECT_EQ(after.served, 2u);
+
+  const auto spans = traced.trace->spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].stage, "scheduler.cache_hit");
+  scheduler.Shutdown();
+}
+
+TEST(ResultCacheSchedulerTest, ExpiredRequestIsNotAnsweredFromCache) {
+  const auto engine = Engine::Build(test::RandomDirectedGraph(120, 700, 31));
+  ASSERT_TRUE(engine.ok());
+  CountingBackend backend{&*engine};
+  BatchSchedulerOptions options;
+  options.cache_entries = 16;
+  BatchScheduler scheduler(backend.AsBackend(), options);
+
+  const Query query = Query::Single(3, 10);
+  ASSERT_TRUE(scheduler.Submit(query).get().ok());
+
+  // The answer is cached, but the deadline passed before Submit: the
+  // request skips the inline lookup and expires at dispatch.
+  Query late = query;
+  late.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  const auto result = scheduler.Submit(late).get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(backend.queries_served.load(), 1u);
+  const auto stats = scheduler.stats();
+  EXPECT_EQ(stats.deadline_expired, 1u);
+  EXPECT_EQ(stats.submitted, stats.served + stats.deadline_expired);
+  scheduler.Shutdown();
+}
+
+TEST(ResultCacheSchedulerTest, EachRequestCountsOnceAsHitOrMiss) {
+  const auto engine = Engine::Build(test::RandomDirectedGraph(120, 700, 31));
+  ASSERT_TRUE(engine.ok());
+  obs::Counter& hits = obs::MetricRegistry::Global().GetCounter("cache.hit");
+  obs::Counter& misses = obs::MetricRegistry::Global().GetCounter("cache.miss");
+  const std::uint64_t hits_before = hits.Value();
+  const std::uint64_t misses_before = misses.Value();
+
+  test::FirstCallGate gate;
+  CountingBackend backend{&*engine};
+  BatchSchedulerOptions options;
+  options.cache_entries = 16;
+  BatchScheduler scheduler(
+      [&, inner = backend.AsBackend()](std::span<const Query> queries) {
+        gate.Pass();
+        return inner(queries);
+      },
+      options);
+
+  const Query a = Query::Single(1, 5);
+  const Query b = Query::Single(2, 5);
+  Query late = Query::Single(3, 5);
+  late.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+
+  // `a` runs alone (a miss) and is pinned there. Queued behind it: a repeat
+  // of `a`, which misses at Submit but hits at dispatch, once `a` has been
+  // admitted; `b` twice (one miss, one coalesced); and an expired request,
+  // which never reaches the cache.
+  auto first = scheduler.Submit(a);
+  gate.WaitEntered();
+  std::vector<std::future<Result<SearchResult>>> queued;
+  queued.push_back(scheduler.Submit(a));
+  queued.push_back(scheduler.Submit(b));
+  queued.push_back(scheduler.Submit(b));
+  auto expired = scheduler.Submit(late);
+  gate.Release();
+  ASSERT_TRUE(first.get().ok());
+  for (auto& future : queued) ASSERT_TRUE(future.get().ok());
+  ASSERT_EQ(expired.get().status().code(), StatusCode::kDeadlineExceeded);
+  // And one inline hit.
+  ASSERT_TRUE(scheduler.Submit(a).get().ok());
+
+  const auto stats = scheduler.stats();
+  EXPECT_EQ(stats.batches_dispatched, 2u);
+  EXPECT_EQ(backend.queries_served.load(), 2u);  // a and b, once each
+  EXPECT_EQ(hits.Value() - hits_before, 2u);
+  EXPECT_EQ(misses.Value() - misses_before, 2u);
+  // Every request that reached the cache counted exactly once: all but the
+  // coalesced duplicate and the expired request.
+  EXPECT_EQ(hits.Value() - hits_before + misses.Value() - misses_before,
+            stats.submitted - stats.coalesced - stats.deadline_expired);
+  scheduler.Shutdown();
+}
+
+TEST(ResultCacheSchedulerTest, ConcurrentSubmittersAndInvalidationsStayExact) {
+  // Submitter threads hit the cache from their own threads while another
+  // thread keeps purging it; every answer must still be byte-identical to
+  // a direct Engine::Search. The thread-sanitizer job runs this suite.
+  const auto engine = Engine::Build(test::RandomDirectedGraph(120, 700, 31));
+  ASSERT_TRUE(engine.ok());
+  std::vector<Query> distinct;
+  for (NodeId s = 0; s < 6; ++s) distinct.push_back(Query::Single(s * 17, 8));
+  std::vector<SearchResult> expected;
+  for (const Query& query : distinct) {
+    auto result = engine->Search(query);
+    ASSERT_TRUE(result.ok());
+    expected.push_back(std::move(*result));
+  }
+
+  BatchSchedulerOptions options;
+  options.cache_entries = 4;  // smaller than the stream: evictions too
+  BatchScheduler scheduler(
+      [&](std::span<const Query> queries) {
+        return engine->SearchBatch(queries);
+      },
+      options);
+
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 150;
+  std::atomic<bool> done{false};
+  std::thread invalidator([&] {
+    while (!done.load()) {
+      scheduler.InvalidateCache();
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::vector<std::pair<std::size_t, SearchResult>>> answers(
+      kThreads);
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const std::size_t which =
+            static_cast<std::size_t>(t + i * (i % 3 + 1)) % distinct.size();
+        auto result = scheduler.Submit(distinct[which]).get();
+        KDASH_CHECK(result.ok()) << result.status();
+        answers[static_cast<std::size_t>(t)].emplace_back(which,
+                                                          std::move(*result));
+      }
+    });
+  }
+  for (auto& submitter : submitters) submitter.join();
+  done = true;
+  invalidator.join();
+
+  for (const auto& per_thread : answers) {
+    ASSERT_EQ(per_thread.size(), static_cast<std::size_t>(kPerThread));
+    for (const auto& [which, result] : per_thread) {
+      ExpectSameTop(result, expected[which]);
+    }
+  }
+  const auto stats = scheduler.stats();
+  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(stats.submitted, stats.served + stats.deadline_expired);
   scheduler.Shutdown();
 }
 

@@ -35,7 +35,6 @@ TEST(SchedulerStatsTest, MixedOutcomesAccountExactlyInOneRun) {
 
   BatchSchedulerOptions options;
   options.max_batch_size = 1;  // one request per dispatch, FIFO
-  options.max_wait = milliseconds(0);
   options.max_queue_depth = 3;
   options.max_retries = 0;
   BatchScheduler scheduler(
@@ -157,11 +156,12 @@ TEST(SchedulerStatsTest, RetryExhaustionSurfacesTransientError) {
 TEST(SchedulerStatsTest, DegradedServesAreCountedPerRequest) {
   // A sharded backend that lost a shard: answers are ok() but partial, and
   // the scheduler must surface how many requests were served degraded.
+  test::FirstCallGate gate;
   BatchSchedulerOptions options;
   options.max_batch_size = 4;
-  options.max_wait = milliseconds(20);
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {
+        gate.Pass();
         std::vector<SearchResult> results(queries.size());
         for (std::size_t q = 0; q < queries.size(); ++q) {
           // Even sources hit the lost shard; odd ones are served complete.
@@ -176,10 +176,16 @@ TEST(SchedulerStatsTest, DegradedServesAreCountedPerRequest) {
       },
       options);
 
+  // A complete occupant pins the first batch; the eight queue behind it
+  // and dispatch as two full batches of four.
+  auto occupant = scheduler.Submit(Query::Single(1, 1));
+  gate.WaitEntered();
   std::vector<std::future<Result<SearchResult>>> futures;
   for (NodeId q = 0; q < 8; ++q) {
     futures.push_back(scheduler.Submit(Query::Single(q, 1)));
   }
+  gate.Release();
+  ASSERT_TRUE(occupant.get().ok());
   int degraded_seen = 0;
   for (auto& future : futures) {
     const auto result = future.get();
@@ -188,7 +194,8 @@ TEST(SchedulerStatsTest, DegradedServesAreCountedPerRequest) {
   }
   EXPECT_EQ(degraded_seen, 4);
   const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.served, 8u);
+  EXPECT_EQ(stats.batches_dispatched, 3u);
+  EXPECT_EQ(stats.served, 9u);
   EXPECT_EQ(stats.degraded, 4u);
 }
 
@@ -199,7 +206,6 @@ TEST(SchedulerStatsTest, UnboundedQueueNeverSheds) {
   std::atomic<int> backend_calls{0};
   BatchSchedulerOptions options;
   options.max_batch_size = 1;
-  options.max_wait = milliseconds(0);
   options.max_queue_depth = 0;  // explicit opt-out of admission control
   BatchScheduler scheduler(
       [&](std::span<const Query> queries) -> Result<std::vector<SearchResult>> {

@@ -2,6 +2,8 @@
 #ifndef KDASH_TESTS_TEST_UTIL_H_
 #define KDASH_TESTS_TEST_UTIL_H_
 
+#include <atomic>
+#include <future>
 #include <vector>
 
 #include "common/random.h"
@@ -11,6 +13,28 @@
 #include "sparse/csc_matrix.h"
 
 namespace kdash::test {
+
+// Holds the first caller of Pass() until Release(). A test calls Pass()
+// from a BatchScheduler backend to pin the first batch: every request
+// submitted between WaitEntered() and Release() provably queues into the
+// next batch, without relying on timing.
+class FirstCallGate {
+ public:
+  void Pass() {
+    if (calls_.fetch_add(1) != 0) return;
+    entered_.set_value();
+    released_.wait();
+  }
+  void WaitEntered() { entered_future_.wait(); }
+  void Release() { release_.set_value(); }
+
+ private:
+  std::atomic<int> calls_{0};
+  std::promise<void> entered_;
+  std::shared_future<void> entered_future_{entered_.get_future()};
+  std::promise<void> release_;
+  std::shared_future<void> released_{release_.get_future()};
+};
 
 // Small deterministic directed graph used across unit tests:
 //

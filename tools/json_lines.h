@@ -23,7 +23,7 @@
 // in-process ShardedEngine if scores survive the round-trip exactly.
 // Response records:
 //   {"id":7,"sources":[3],"k":5,"top":[{"node":9,"score":0.0123},...],
-//    "visited":42,"computed":17,"pruned":true,"t_us":184}
+//    "visited":42,"computed":17,"tree":64,"pruned":true,"t_us":184}
 //   {"id":8,"code":"INVALID_ARGUMENT","error":"source node 999 out of ...,
 //    "t_us":12}
 //   {"id":9,"pong":1,"t_us":3}
@@ -55,6 +55,18 @@ inline bool FlagValue(const std::string& arg, const char* name,
   const std::string prefix = std::string(name) + "=";
   if (arg.rfind(prefix, 0) != 0) return false;
   *value = arg.substr(prefix.size());
+  return true;
+}
+
+// `--name=<integer>`; false unless the whole value parses.
+inline bool NumericFlag(const std::string& arg, const char* name,
+                        long long* value) {
+  std::string text;
+  if (!FlagValue(arg, name, &text)) return false;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0') return false;
+  *value = parsed;
   return true;
 }
 
@@ -263,6 +275,7 @@ inline std::string FormatResultRecord(long long id, const Query& query,
   record += "],\"visited\":" + std::to_string(result.stats.nodes_visited) +
             ",\"computed\":" +
             std::to_string(result.stats.proximity_computations) +
+            ",\"tree\":" + std::to_string(result.stats.tree_size) +
             ",\"pruned\":" +
             (result.stats.terminated_early ? "true" : "false");
   if (result.degraded()) {

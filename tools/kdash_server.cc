@@ -1,12 +1,13 @@
 // kdash_server — JSON-lines serving front end over the micro-batching
 // scheduler. Speaks exactly the `kdash_cli batch` protocol (one request
 // per line, one JSON record per line, inline error records), but routes
-// every request through serving::BatchScheduler, so concurrent request
-// streams coalesce into SearchBatch micro-batches on the shared thread
-// pool.
+// every request through serving::BatchScheduler: a request dispatches as
+// soon as the backend is free, requests that arrive while a batch runs
+// coalesce into the next SearchBatch, and cached repeats are answered
+// without queueing.
 //
 //   kdash_server <index.kdash | sharded-index-dir/> [--k=5] [--batch=64]
-//                [--wait-us=500] [--deadline-ms=0] [--window=256]
+//                [--deadline-ms=0] [--window=256]
 //                [--max-queue=4096] [--degrade=fail|retry|degrade]
 //                [--cache-entries=1024] [--no-shard-skip]
 //                [--port=7607] [--stats-period=0]
@@ -33,8 +34,7 @@
 // asynchronously with up to --window in flight, responses print in input
 // order, and EOF drains the scheduler cleanly. With --port it accepts TCP
 // connections (one thread per connection, same line protocol per
-// connection) — requests from *different* clients batch together, which is
-// where micro-batching pays off.
+// connection) — requests from *different* clients batch together.
 //
 //   --deadline-ms=N  per-request deadline; expired requests come back as
 //                    {"code":"DEADLINE_EXCEEDED",...} records (0 = none).
@@ -64,22 +64,19 @@
 // metrics in one deterministic JSON object) — like pings it is answered in
 // order and never queued or shed. Every record carries "t_us", the
 // server-side end-to-end latency of its request.
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 
-#include "common/mutex.h"
 #include "common/status.h"
 #include "core/engine.h"
 #include "json_lines.h"
 #include "net_util.h"
-#include "obs/metrics.h"
 #include "serving/batch_scheduler.h"
 #include "serving/router.h"
 #include "serving/sharded_engine.h"
@@ -105,9 +102,8 @@ struct ServerConfig {
 int Usage() {
   std::fprintf(stderr,
                "usage: kdash_server <index.kdash|sharded-dir> [--k=5]\n"
-               "                    [--batch=64] [--wait-us=500]\n"
-               "                    [--deadline-ms=0] [--window=256]\n"
-               "                    [--max-queue=4096]\n"
+               "                    [--batch=64] [--deadline-ms=0]\n"
+               "                    [--window=256] [--max-queue=4096]\n"
                "                    [--degrade=fail|retry|degrade]\n"
                "                    [--cache-entries=1024] [--no-shard-skip]\n"
                "                    [--port=7607] [--stats-period=0]\n"
@@ -117,19 +113,11 @@ int Usage() {
   return 2;
 }
 
+using tools::NumericFlag;
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
-}
-
-bool NumericFlag(const std::string& arg, const char* name, long long* value) {
-  std::string text;
-  if (!tools::FlagValue(arg, name, &text)) return false;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *value = parsed;
-  return true;
 }
 
 // ---- TCP mode --------------------------------------------------------------
@@ -181,8 +169,6 @@ int Main(int argc, char** argv) {
       config.stream.default_k = static_cast<std::size_t>(value);
     } else if (NumericFlag(arg, "--batch", &value) && value > 0) {
       config.scheduler.max_batch_size = static_cast<std::size_t>(value);
-    } else if (NumericFlag(arg, "--wait-us", &value) && value >= 0) {
-      config.scheduler.max_wait = std::chrono::microseconds(value);
     } else if (NumericFlag(arg, "--deadline-ms", &value) && value >= 0) {
       config.stream.deadline = std::chrono::milliseconds(value);
     } else if (NumericFlag(arg, "--window", &value) && value > 0) {
@@ -262,55 +248,21 @@ int Main(int argc, char** argv) {
 
   serving::BatchScheduler scheduler(std::move(backend), config.scheduler);
 
-  // --stats-period: a background thread dumps the full registry snapshot to
-  // stderr every period (one JSON object per line, same shape as the
-  // {"stats":1} record), so a long-running server can be watched without a
-  // client slot. CondVar-stopped so shutdown never waits out a period.
-  struct StatsDumper {
-    Mutex mutex;
-    CondVar stop_changed;
-    bool stop KDASH_GUARDED_BY(mutex) = false;
-  };
-  StatsDumper dumper;
-  std::thread stats_thread;
-  if (config.stats_period.count() > 0) {
-    stats_thread = std::thread([&dumper, period = config.stats_period] {
-      MutexLock lock(dumper.mutex);
-      for (;;) {
-        const auto deadline = std::chrono::steady_clock::now() + period;
-        while (!dumper.stop &&
-               dumper.stop_changed.WaitUntil(dumper.mutex, deadline) !=
-                   std::cv_status::timeout) {
-        }
-        if (dumper.stop) return;
-        const std::string snapshot =
-            obs::MetricRegistry::Global().SnapshotToJson();
-        std::fprintf(stderr, "%s\n", snapshot.c_str());
-      }
-    });
-  }
-
   int exit_code = 0;
-  if (config.port > 0) {
-    exit_code = ServeTcp(scheduler, config);
-  } else {
-    // Flush per record: an interactive client must see each response as it
-    // resolves, not when the stdio buffer happens to fill.
-    tools::PumpStream(std::cin, [](const std::string& record) {
-      return std::fwrite(record.data(), 1, record.size(), stdout) ==
-                 record.size() &&
-             std::fputc('\n', stdout) != EOF && std::fflush(stdout) == 0;
-    }, scheduler, config.stream);
-  }
-
-  scheduler.Shutdown();
-  if (stats_thread.joinable()) {
-    {
-      MutexLock lock(dumper.mutex);
-      dumper.stop = true;
+  {
+    const tools::StatsDumper stats_dumper(config.stats_period);
+    if (config.port > 0) {
+      exit_code = ServeTcp(scheduler, config);
+    } else {
+      // Flush per record: an interactive client must see each response as
+      // it resolves, not when the stdio buffer happens to fill.
+      tools::PumpStream(std::cin, [](const std::string& record) {
+        return std::fwrite(record.data(), 1, record.size(), stdout) ==
+                   record.size() &&
+               std::fputc('\n', stdout) != EOF && std::fflush(stdout) == 0;
+      }, scheduler, config.stream);
     }
-    dumper.stop_changed.NotifyAll();
-    stats_thread.join();
+    scheduler.Shutdown();
   }
   // Exit summary in the same vocabulary as the live metrics — one JSON
   // object per line, machine-diffable against a {"stats":1} snapshot.

@@ -15,8 +15,8 @@
 // Flags: --port=N (required; 0 picks an ephemeral port — the bound port is
 // printed on the "listening" stderr line either way), --shard=K /
 // --shards=a,b,... to own a subset of the directory's shards, plus the
-// kdash_server scheduler knobs (--k, --batch, --wait-us, --deadline-ms,
-// --window, --max-queue, --cache-entries, --stats-period).
+// kdash_server scheduler knobs (--k, --batch, --deadline-ms, --window,
+// --max-queue, --cache-entries, --stats-period).
 //
 // Protocol notes beyond kdash_server:
 //   - pong records advertise the worker's footprint ({"shards":N,
@@ -46,7 +46,6 @@
 #include "core/engine.h"
 #include "json_lines.h"
 #include "net_util.h"
-#include "obs/metrics.h"
 #include "serving/batch_scheduler.h"
 #include "serving/sharded_engine.h"
 
@@ -67,26 +66,18 @@ int Usage() {
   std::fprintf(stderr,
                "usage: kdash_worker <index.kdash|sharded-dir> --port=N\n"
                "                    [--shard=K | --shards=a,b,...] [--k=5]\n"
-               "                    [--batch=64] [--wait-us=500]\n"
-               "                    [--deadline-ms=0] [--window=256]\n"
-               "                    [--max-queue=4096] [--cache-entries=1024]\n"
+               "                    [--batch=64] [--deadline-ms=0]\n"
+               "                    [--window=256] [--max-queue=4096]\n"
+               "                    [--cache-entries=1024]\n"
                "                    [--stats-period=0]\n");
   return 2;
 }
 
+using tools::NumericFlag;
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
-}
-
-bool NumericFlag(const std::string& arg, const char* name, long long* value) {
-  std::string text;
-  if (!tools::FlagValue(arg, name, &text)) return false;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return false;
-  *value = parsed;
-  return true;
 }
 
 bool ParseShardList(const std::string& text, std::vector<int>* shards) {
@@ -185,8 +176,6 @@ int Main(int argc, char** argv) {
       config.stream.default_k = static_cast<std::size_t>(value);
     } else if (NumericFlag(arg, "--batch", &value) && value > 0) {
       config.scheduler.max_batch_size = static_cast<std::size_t>(value);
-    } else if (NumericFlag(arg, "--wait-us", &value) && value >= 0) {
-      config.scheduler.max_wait = std::chrono::microseconds(value);
     } else if (NumericFlag(arg, "--deadline-ms", &value) && value >= 0) {
       config.stream.deadline = std::chrono::milliseconds(value);
     } else if (NumericFlag(arg, "--window", &value) && value > 0) {
@@ -254,32 +243,9 @@ int Main(int argc, char** argv) {
       };
   serving::BatchScheduler scheduler(std::move(backend), config.scheduler);
 
-  struct StatsDumper {
-    Mutex mutex;
-    CondVar stop_changed;
-    bool stop KDASH_GUARDED_BY(mutex) = false;
-  };
-  StatsDumper dumper;
-  std::thread stats_thread;
-  if (config.stats_period.count() > 0) {
-    stats_thread = std::thread([&dumper, period = config.stats_period] {
-      MutexLock lock(dumper.mutex);
-      for (;;) {
-        const auto deadline = std::chrono::steady_clock::now() + period;
-        while (!dumper.stop &&
-               dumper.stop_changed.WaitUntil(dumper.mutex, deadline) !=
-                   std::cv_status::timeout) {
-        }
-        if (dumper.stop) return;
-        const std::string snapshot =
-            obs::MetricRegistry::Global().SnapshotToJson();
-        std::fprintf(stderr, "%s\n", snapshot.c_str());
-      }
-    });
-  }
-
   int exit_code = 0;
   {
+    const tools::StatsDumper stats_dumper(config.stats_period);
     tools::LineServer server(scheduler, config.stream);
     const Status listening = server.Listen(config.port);
     if (!listening.ok()) {
@@ -296,14 +262,6 @@ int Main(int argc, char** argv) {
   }
 
   scheduler.Shutdown();
-  if (stats_thread.joinable()) {
-    {
-      MutexLock lock(dumper.mutex);
-      dumper.stop = true;
-    }
-    dumper.stop_changed.NotifyAll();
-    stats_thread.join();
-  }
   std::fprintf(stderr, "scheduler stats: %s\n",
                scheduler.stats().ToJson().c_str());
   return exit_code;

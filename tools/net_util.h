@@ -18,6 +18,7 @@
 //     to the BatchScheduler with a bounded in-flight window, writer
 //     resolves responses in input order.
 //   - SendAll / SocketStreamBuf / IgnoreSigpipe: socket primitives.
+//   - StatsDumper: the --stats-period registry dump.
 //
 // A dead client must never kill the process: every send uses MSG_NOSIGNAL
 // and servers call IgnoreSigpipe() at startup anyway (belt and braces —
@@ -35,6 +36,7 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <deque>
 #include <functional>
 #include <future>
@@ -149,7 +151,8 @@ inline bool Resolve(Pending& pending, const WriteLine& write,
 // line as it arrives (at most `window` in flight, so batches can form
 // without unbounded memory) while a writer thread resolves responses in
 // input order as soon as they complete — a request-response client gets
-// its answer after max_wait, never "once the window fills or EOF".
+// its answer as soon as its batch (or the cache) answers it, never "once
+// the window fills or EOF".
 inline void PumpStream(std::istream& in, const WriteLine& write,
                        serving::BatchScheduler& scheduler,
                        const StreamConfig& config) {
@@ -452,6 +455,48 @@ class LineServer {
   const StreamConfig config_;
   std::atomic<int> listen_fd_{-1};
   int port_ = 0;
+};
+
+// --stats-period: a background thread dumps the full registry snapshot to
+// stderr every period (one JSON object per line, same shape as the
+// {"stats":1} record), so a long-running server can be watched without a
+// client slot. A zero period starts no thread; destruction stops the thread
+// without waiting out a period.
+class StatsDumper {
+ public:
+  explicit StatsDumper(std::chrono::seconds period) {
+    if (period.count() <= 0) return;
+    thread_ = std::thread([this, period] {
+      MutexLock lock(mutex_);
+      for (;;) {
+        const auto deadline = std::chrono::steady_clock::now() + period;
+        while (!stop_ && stop_changed_.WaitUntil(mutex_, deadline) !=
+                             std::cv_status::timeout) {
+        }
+        if (stop_) return;
+        const std::string snapshot =
+            obs::MetricRegistry::Global().SnapshotToJson();
+        std::fprintf(stderr, "%s\n", snapshot.c_str());
+      }
+    });
+  }
+  ~StatsDumper() {
+    if (!thread_.joinable()) return;
+    {
+      MutexLock lock(mutex_);
+      stop_ = true;
+    }
+    stop_changed_.NotifyAll();
+    thread_.join();
+  }
+  StatsDumper(const StatsDumper&) = delete;
+  StatsDumper& operator=(const StatsDumper&) = delete;
+
+ private:
+  Mutex mutex_;
+  CondVar stop_changed_;
+  bool stop_ KDASH_GUARDED_BY(mutex_) = false;
+  std::thread thread_;
 };
 
 }  // namespace kdash::tools
