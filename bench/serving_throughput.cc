@@ -6,7 +6,7 @@
 // (serving/result_cache.h answers cross-batch repeats without the
 // backend), plus the distributed tier: a serving::Router fanning the same
 // queries over per-shard loopback-TCP workers (tools/net_util.h LineServer
-// — the kdash_worker stack in-process), healthy and with one worker dead
+// — the worker kdash_server stack in-process), healthy and with one worker dead
 // under a degrade policy. Emits one JSON record per (clients, mode) cell —
 // the cross-PR perf artifact the serving CI job uploads.
 #include <algorithm>
@@ -126,8 +126,9 @@ Measurement RunScheduled(serving::BatchScheduler& scheduler, int clients,
       });
 }
 
-// One in-process distributed worker: the kdash_worker stack (LineServer +
-// BatchScheduler + shard engine) on an ephemeral loopback port.
+// One in-process distributed worker: the worker kdash_server stack
+// (LineServer + BatchScheduler + shard engine) on an ephemeral loopback
+// port.
 class BenchWorker {
  public:
   explicit BenchWorker(const Engine& shard)

@@ -1,8 +1,8 @@
 // kdash::serving::RemoteWorker — one failable worker endpoint.
 //
-// The distributed tier's unit of failure is a worker process (tools/
-// kdash_worker) serving one or more shards of a sharded index over the
-// JSON-lines TCP protocol. This class owns everything about talking to
+// The distributed tier's unit of failure is a worker process (`kdash_server
+// <dir> --shards=...`) serving one or more shards of a sharded index over
+// the JSON-lines TCP protocol. This class owns everything about talking to
 // one such endpoint and assuming it can die at any moment:
 //
 //   - a small pool of reused TCP connections (dial on demand, return on

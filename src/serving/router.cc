@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/timer.h"
-#include "common/top_k.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serving/wire.h"
@@ -16,8 +15,6 @@
 namespace kdash::serving {
 
 struct Router::RouterMetrics {
-  obs::Counter* degraded_queries =
-      &obs::MetricRegistry::Global().GetCounter("router.degraded_queries");
   obs::Counter* failovers =
       &obs::MetricRegistry::Global().GetCounter("router.failovers");
   obs::Counter* health_probes =
@@ -30,10 +27,17 @@ struct Router::RouterMetrics {
   // delay (its p99).
   obs::Histogram* remote_us =
       &obs::MetricRegistry::Global().GetHistogram("router.remote_us");
-  // Shared with ShardedEngine on purpose: a merge is a merge, local or
-  // distributed, and one histogram keeps the dashboards uniform.
-  obs::Histogram* merge_us =
-      &obs::MetricRegistry::Global().GetHistogram("serving.merge_us");
+  // The shared fan-out's reporting. serving.merge_us is shared with
+  // ShardedEngine on purpose: a merge is a merge, local or distributed, and
+  // one histogram keeps the dashboards uniform. Remote slots are never
+  // skipped, so there is no skip span.
+  FanOutReport fan_out{
+      .merge_span = "router.merge",
+      .merge_us =
+          &obs::MetricRegistry::Global().GetHistogram("serving.merge_us"),
+      .degraded = FanOutTally(&obs::MetricRegistry::Global().GetCounter(
+          "router.degraded_queries")),
+  };
 };
 
 namespace {
@@ -76,12 +80,7 @@ Router::Router(RouterOptions options)
 
 Result<std::unique_ptr<Router>> Router::Connect(const std::string& spec,
                                                 RouterOptions options) {
-  if (options.failure_policy.max_retries < 0) {
-    return Status::InvalidArgument("failure_policy.max_retries must be >= 0");
-  }
-  if (options.failure_policy.min_shards_ok < 1) {
-    return Status::InvalidArgument("failure_policy.min_shards_ok must be >= 1");
-  }
+  KDASH_RETURN_IF_ERROR(ValidateFailurePolicy(options.failure_policy));
   if (spec.empty()) {
     return Status::InvalidArgument("empty worker spec");
   }
@@ -164,9 +163,11 @@ ShardFailurePolicy Router::failure_policy() const {
   return policy_;
 }
 
-void Router::set_failure_policy(const ShardFailurePolicy& policy) {
+Status Router::set_failure_policy(const ShardFailurePolicy& policy) {
+  KDASH_RETURN_IF_ERROR(ValidateFailurePolicy(policy));
   MutexLock lock(policy_mutex_);
   policy_ = policy;
+  return Status::Ok();
 }
 
 int Router::SlotWeight(std::size_t slot) const {
@@ -293,168 +294,54 @@ Status Router::Attempt(RemoteWorker* primary, RemoteWorker* hedge,
   return Status::Internal("unhandled record kind");
 }
 
-Status Router::CallSlot(const Query& query, std::size_t slot,
-                        const ShardFailurePolicy& policy,
+Status Router::CallSlot(const Query& query, std::size_t slot, int attempt,
                         SearchResult* out) const {
-  const std::string line = wire::FormatRequestLine(query);
   const auto& replicas = slots_[slot];
-  const bool retryable = policy.mode != ShardFailureMode::kFailFast;
-  auto backoff = policy.initial_backoff;
-  Status last = Status::Ok();
-  for (int attempt = 0;; ++attempt) {
-    // Healthy-first, config-order-stable replica ordering, recomputed per
-    // attempt — a mark-down between attempts reroutes the retry.
-    std::vector<RemoteWorker*> ordered;
-    ordered.reserve(replicas.size());
-    for (const auto& replica : replicas) {
-      if (replica->healthy()) ordered.push_back(replica.get());
-    }
-    for (const auto& replica : replicas) {
-      if (!replica->healthy()) ordered.push_back(replica.get());
-    }
-    RemoteWorker* target =
-        ordered[static_cast<std::size_t>(attempt) % ordered.size()];
-    if (target != replicas.front().get()) metrics_->failovers->Add();
-    RemoteWorker* hedge = nullptr;
-    for (RemoteWorker* candidate : ordered) {
-      if (candidate != target && candidate->healthy()) {
-        hedge = candidate;
-        break;
-      }
-    }
-    const Status status = Attempt(target, hedge, line, query, slot, out);
-    if (status.ok()) return status;
-    last = status;
-    // Mirrors the in-process SearchShard loop: caller bugs are never
-    // retried, fail-fast means one attempt, and the backoff is capped by
-    // the time remaining to the query's deadline — a retry the caller
-    // cannot wait for is not a retry, it is a late error.
-    if (!retryable || status.code() == StatusCode::kInvalidArgument ||
-        attempt >= policy.max_retries) {
-      return last;
-    }
-    if (query.deadline != std::chrono::steady_clock::time_point::max()) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              query.deadline - std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) {
-        return Status::DeadlineExceeded(
-            "deadline expired before slot " + std::to_string(slot) +
-            " retry: " + last.message());
-      }
-      if (backoff > remaining) backoff = remaining;
-    }
-    if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * 2, policy.max_backoff);
+  // Healthy-first, config-order-stable replica ordering, recomputed per
+  // attempt — a mark-down between attempts reroutes the retry.
+  std::vector<RemoteWorker*> ordered;
+  ordered.reserve(replicas.size());
+  for (const auto& replica : replicas) {
+    if (replica->healthy()) ordered.push_back(replica.get());
   }
-}
-
-Result<std::vector<SearchResult>> Router::FanOut(
-    std::span<const Query> queries) const {
-  const std::size_t num_queries = queries.size();
-  const std::size_t slot_count = slots_.size();
-  const ShardFailurePolicy policy = failure_policy();  // one snapshot per call
-
-  std::vector<SearchResult> partials(num_queries * slot_count);
-  std::vector<Status> statuses(num_queries * slot_count);
-  io_pool_->ParallelFor(
-      0, static_cast<Index>(num_queries * slot_count), /*grain=*/1,
-      [&](Index begin, Index end, int) {
-        for (Index t = begin; t < end; ++t) {
-          const auto i = static_cast<std::size_t>(t);
-          const std::size_t q = i / slot_count;
-          const std::size_t s = i % slot_count;
-          statuses[i] = CallSlot(queries[q], s, policy, &partials[i]);
-        }
-      });
-
-  const auto fail_query = [&](std::size_t q, const Status& status) -> Status {
-    if (num_queries == 1) return status;
-    return Status(status.code(),
-                  "query " + std::to_string(q) + ": " + status.message());
-  };
-
-  // Same deterministic slot-order scan and degradation accounting as
-  // ShardedEngine::FanOut, with slot weights (shards per worker) in place
-  // of the implicit weight 1.
-  const bool degrade = policy.mode == ShardFailureMode::kDegrade;
-  std::vector<SearchResult> results(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    int ok_shards = 0;
-    int failed_shards = 0;
-    const Status* first_failure = nullptr;
-    bool invalid = false;
-    for (std::size_t s = 0; s < slot_count; ++s) {
-      const Status& status = statuses[q * slot_count + s];
-      if (status.ok()) {
-        // A worker can itself degrade (it serves several shards and runs
-        // its own policy); fold its accounting through instead of
-        // assuming all-or-nothing.
-        const SearchResult& partial = partials[q * slot_count + s];
-        if (partial.shards_failed > 0) {
-          ok_shards += partial.shards_ok;
-          failed_shards += partial.shards_failed;
-        } else {
-          ok_shards += SlotWeight(s);
-        }
-      } else {
-        failed_shards += SlotWeight(s);
-        if (first_failure == nullptr) first_failure = &status;
-        invalid |= status.code() == StatusCode::kInvalidArgument;
-      }
-    }
-    if (failed_shards > 0) {
-      // first_failure may be null when every *slot* answered but a worker
-      // self-degraded; its policy already sanctioned serving partial, so
-      // the router only tags and counts.
-      if (first_failure != nullptr) {
-        if (invalid || !degrade) return fail_query(q, *first_failure);
-        if (ok_shards < policy.min_shards_ok) {
-          return fail_query(
-              q, Status(first_failure->code(),
-                        "degraded below min_shards_ok (" +
-                            std::to_string(ok_shards) + "/" +
-                            std::to_string(ok_shards + failed_shards) +
-                            " shards ok): " + first_failure->message()));
-        }
-      }
-      metrics_->degraded_queries->Add();
-    }
-
-    obs::ScopedSpan merge_span(queries[q].trace.get(), "router.merge");
-    WallTimer merge_timer;
-    TopKHeap heap(queries[q].k);
-    core::SearchStats merged;
-    for (std::size_t s = 0; s < slot_count; ++s) {
-      if (!statuses[q * slot_count + s].ok()) continue;
-      const SearchResult& partial = partials[q * slot_count + s];
-      for (const ScoredNode& entry : partial.top) {
-        heap.Push(entry.node, entry.score);
-      }
-      merged.nodes_visited += partial.stats.nodes_visited;
-      merged.proximity_computations += partial.stats.proximity_computations;
-      merged.tree_size += partial.stats.tree_size;
-      merged.terminated_early |= partial.stats.terminated_early;
-    }
-    results[q].top = heap.Sorted();
-    results[q].stats = merged;
-    results[q].shards_ok = ok_shards;
-    results[q].shards_failed = failed_shards;
-    metrics_->merge_us->Record(
-        static_cast<std::uint64_t>(merge_timer.Micros()));
+  for (const auto& replica : replicas) {
+    if (!replica->healthy()) ordered.push_back(replica.get());
   }
-  return results;
+  RemoteWorker* target =
+      ordered[static_cast<std::size_t>(attempt) % ordered.size()];
+  if (target != replicas.front().get()) metrics_->failovers->Add();
+  RemoteWorker* hedge = nullptr;
+  for (RemoteWorker* candidate : ordered) {
+    if (candidate != target && candidate->healthy()) {
+      hedge = candidate;
+      break;
+    }
+  }
+  return Attempt(target, hedge, wire::FormatRequestLine(query), query, slot,
+                 out);
 }
 
 Result<SearchResult> Router::Search(const Query& query) const {
-  KDASH_ASSIGN_OR_RETURN(auto results, FanOut({&query, 1}));
+  KDASH_ASSIGN_OR_RETURN(auto results, SearchBatch({&query, 1}));
   return std::move(results.front());
 }
 
 Result<std::vector<SearchResult>> Router::SearchBatch(
     std::span<const Query> queries) const {
   if (queries.empty()) return std::vector<SearchResult>{};
-  return FanOut(queries);
+  // Remote slots own no node range and carry no score bound: nothing is
+  // mandatory, nothing is skipped, and every (query, slot) call goes out
+  // in one round.
+  std::vector<FanOutSlot> slots(slots_.size());
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    slots[s].id = static_cast<int>(s);
+    slots[s].weight = SlotWeight(s);
+  }
+  return FanOut(
+      queries, slots, failure_policy(), *io_pool_,
+      [this](const Query& query, std::size_t slot, int attempt,
+             SearchResult* out) { return CallSlot(query, slot, attempt, out); },
+      metrics_->fan_out);
 }
 
 }  // namespace kdash::serving

@@ -3,26 +3,33 @@
 // ShardedEngine scales a too-big index across P in-process shard engines;
 // the Router is the same idea across *processes*: each slot of a worker
 // topology serves a disjoint subset of a sharded index's shards (a
-// tools/kdash_worker per slot, optionally replicated), a query fans out to
-// every slot, and the per-slot exact top-k answers merge under the
-// library-wide (score desc, id asc) total order into the exact global
-// top-k — bit-identical, ids and scores, to the in-process ShardedEngine
-// over the same shards (scores cross the wire as hexfloats; see wire.h).
+// `kdash_server <dir> --shards=...` per slot, optionally replicated), a
+// query fans out to every slot, and the per-slot exact top-k answers merge
+// under the library-wide (score desc, id asc) total order into the exact
+// global top-k — bit-identical, ids and scores, to the in-process
+// ShardedEngine over the same shards (scores cross the wire as hexfloats;
+// see wire.h).
 //
-// Every worker is assumed failable, and the failure machinery mirrors the
-// in-process ShardFailurePolicy exactly so operators reason about one
-// policy, not two:
+// Retries, degradation, failure accounting and the merge are not the
+// Router's own: they are the shared fan-out of fan_out.h, the same code
+// ShardedEngine runs, so operators reason about one ShardFailurePolicy,
+// not two:
 //
-//   - replica failover: a slot's replicas are tried healthy-first; an
-//     answer from any replica is the slot's answer (replicas serve
-//     identical shards, so answers are interchangeable bit-for-bit);
 //   - retries with deadline-capped exponential backoff (kRetry/kDegrade),
 //     failing fast once the query's deadline has passed;
 //   - graceful degradation (kDegrade): a slot that stays dead after
 //     retries is dropped, the surviving slots merge exactly, and the
 //     result is tagged shards_ok/shards_failed in *shard units* (each
 //     worker's pong advertises how many shards it serves), matching the
-//     accounting an in-process ShardedEngine would report;
+//     accounting an in-process ShardedEngine would report.
+//
+// A remote slot owns no node range and has no score bound, so the shared
+// fan-out never skips one: every query is a single round of calls. What
+// the Router adds is per attempt:
+//
+//   - replica failover: a slot's replicas are tried healthy-first; an
+//     answer from any replica is the slot's answer (replicas serve
+//     identical shards, so answers are interchangeable bit-for-bit);
 //   - hedged requests: when a slot's first replica has not answered
 //     within the hedge delay — the observed p99 of router.remote_us, or a
 //     fixed override — the request is re-issued to another healthy
@@ -47,7 +54,7 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "serving/remote_shard.h"
-#include "serving/sharded_engine.h"
+#include "serving/fan_out.h"
 
 namespace kdash::serving {
 
@@ -126,23 +133,19 @@ class Router {
   }
 
   // Policy snapshot/replacement, thread-safe with in-flight queries (same
-  // whole-query snapshot rule as ShardedEngine).
+  // whole-query snapshot rule as ShardedEngine). The setter rejects what
+  // ValidateFailurePolicy rejects.
   ShardFailurePolicy failure_policy() const;
-  void set_failure_policy(const ShardFailurePolicy& policy);
+  [[nodiscard]] Status set_failure_policy(const ShardFailurePolicy& policy);
 
  private:
   explicit Router(RouterOptions options);
 
-  // The flat (query × slot) fan-out + exact merge (see ShardedEngine::
-  // FanOut — same slot-order error scan, same degradation accounting).
-  [[nodiscard]] Result<std::vector<SearchResult>> FanOut(
-      std::span<const Query> queries) const;
-
-  // One slot's answer for one query: replica failover, hedging, retries
-  // with deadline-capped backoff. On Ok, *out holds the parsed result.
+  // One attempt of one query on one slot (the fan-out's SlotSearch):
+  // healthy-first replica choice, rotated by `attempt`, plus a hedge
+  // candidate. On Ok, *out holds the parsed result.
   [[nodiscard]] Status CallSlot(const Query& query, std::size_t slot,
-                                const ShardFailurePolicy& policy,
-                                SearchResult* out) const;
+                                int attempt, SearchResult* out) const;
 
   // One request/response against `primary`, hedged to `hedge` when it is
   // non-null and the primary misses the hedge delay.

@@ -1,64 +1,44 @@
 #include "serving/sharded_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/fault.h"
 #include "common/mutex.h"
 #include "common/timer.h"
-#include "common/top_k.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace kdash::serving {
 
 struct ShardedEngine::ControlBlock {
-  // Counters are atomics: fan-out workers bump them concurrently and a
-  // relaxed add is all the accounting needs.
-  std::atomic<std::uint64_t> shard_failures{0};
-  std::atomic<std::uint64_t> shard_retries{0};
-  std::atomic<std::uint64_t> degraded_queries{0};
-  std::atomic<std::uint64_t> shards_skipped{0};
-
-  // Bound-based shard skipping (see the header). On by default; an atomic
-  // bool rather than policy state because flipping it mid-flight is safe —
-  // any individual fan-out reads it once.
-  std::atomic<bool> skip_enabled{true};
-
-  // Registry mirrors of the counters above (process-cumulative, across
-  // every ShardedEngine) plus the per-shard latency histograms, resolved
-  // once so the fan-out hot path never takes the registry lock. The
-  // histogram vector is filled by InitShardMetrics once the shard count is
-  // known (Build/Open).
-  obs::Counter* m_shard_failures =
-      &obs::MetricRegistry::Global().GetCounter("serving.shard_failures");
-  obs::Counter* m_shard_retries =
-      &obs::MetricRegistry::Global().GetCounter("serving.shard_retries");
-  obs::Counter* m_degraded_queries =
-      &obs::MetricRegistry::Global().GetCounter("serving.degraded_queries");
-  obs::Counter* m_shards_skipped =
-      &obs::MetricRegistry::Global().GetCounter("serving.shards_skipped");
-  obs::Histogram* m_merge_us =
-      &obs::MetricRegistry::Global().GetHistogram("serving.merge_us");
+  // Tallies and registry handles for the shared fan-out, resolved once so
+  // the hot path never takes the registry lock.
+  FanOutReport report{
+      .merge_span = "sharded.merge",
+      .skip_span = "sharded.shard_skip",
+      .merge_us =
+          &obs::MetricRegistry::Global().GetHistogram("serving.merge_us"),
+      .failures = FanOutTally(
+          &obs::MetricRegistry::Global().GetCounter("serving.shard_failures")),
+      .retries = FanOutTally(
+          &obs::MetricRegistry::Global().GetCounter("serving.shard_retries")),
+      .degraded = FanOutTally(&obs::MetricRegistry::Global().GetCounter(
+          "serving.degraded_queries")),
+      .skipped = FanOutTally(
+          &obs::MetricRegistry::Global().GetCounter("serving.shards_skipped")),
+  };
+  // Per-shard latency histograms, filled by InitSlots once the shard ids
+  // are known.
   std::vector<obs::Histogram*> m_shard_latency_us;
 
-  void InitShardMetrics(std::size_t shard_count) {
-    m_shard_latency_us.resize(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      m_shard_latency_us[s] = &obs::MetricRegistry::Global().GetHistogram(
-          "serving.shard_latency_us.s" + std::to_string(s));
-    }
-  }
-
-  // The failure policy is multi-field, so it gets a real lock: FanOut
+  // The failure policy is multi-field, so it gets a real lock: a fan-out
   // snapshots it once per call and set_failure_policy replaces it whole —
   // a policy change never tears across one query's shard attempts.
   mutable Mutex policy_mutex;
@@ -72,12 +52,9 @@ ShardedEngine::~ShardedEngine() = default;
 
 ShardedEngine::FailureStats ShardedEngine::failure_stats() const {
   FailureStats stats;
-  stats.shard_failures =
-      control_->shard_failures.load(std::memory_order_relaxed);
-  stats.shard_retries =
-      control_->shard_retries.load(std::memory_order_relaxed);
-  stats.degraded_queries =
-      control_->degraded_queries.load(std::memory_order_relaxed);
+  stats.shard_failures = control_->report.failures.value();
+  stats.shard_retries = control_->report.retries.value();
+  stats.degraded_queries = control_->report.degraded.value();
   return stats;
 }
 
@@ -87,16 +64,14 @@ std::string ShardedEngine::FailureStats::ToJson() const {
          ",\"degraded_queries\":" + std::to_string(degraded_queries) + "}";
 }
 
-bool ShardedEngine::skip_enabled() const {
-  return control_->skip_enabled.load(std::memory_order_relaxed);
-}
-
-void ShardedEngine::set_skip_enabled(bool enabled) {
-  control_->skip_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 std::uint64_t ShardedEngine::shards_skipped() const {
-  return control_->shards_skipped.load(std::memory_order_relaxed);
+  return control_->report.skipped.value();
+}
+
+NodeId ShardedEngine::owned_nodes() const {
+  NodeId owned = 0;
+  for (const FanOutSlot& s : slots_) owned += s.owned_end - s.owned_begin;
+  return owned;
 }
 
 ShardFailurePolicy ShardedEngine::failure_policy() const {
@@ -104,9 +79,11 @@ ShardFailurePolicy ShardedEngine::failure_policy() const {
   return control_->policy;
 }
 
-void ShardedEngine::set_failure_policy(const ShardFailurePolicy& policy) {
+Status ShardedEngine::set_failure_policy(const ShardFailurePolicy& policy) {
+  KDASH_RETURN_IF_ERROR(ValidateFailurePolicy(policy));
   MutexLock lock(control_->policy_mutex);
   control_->policy = policy;
+  return Status::Ok();
 }
 
 ThreadPool& ShardedEngine::Pool() const {
@@ -155,12 +132,9 @@ Result<ShardedEngine> ShardedEngine::Build(const graph::Graph& graph,
   if (options.num_search_threads < 0) {
     return Status::InvalidArgument("num_search_threads must be >= 0");
   }
-  if (options.failure_policy.max_retries < 0) {
-    return Status::InvalidArgument("failure_policy.max_retries must be >= 0");
-  }
-  if (options.failure_policy.min_shards_ok < 1) {
-    return Status::InvalidArgument("failure_policy.min_shards_ok must be >= 1");
-  }
+
+  ShardedEngine sharded;
+  KDASH_RETURN_IF_ERROR(sharded.set_failure_policy(options.failure_policy));
 
   // One full precompute (Engine::Build validates graph and index options),
   // then P restrictions of it.
@@ -168,9 +142,7 @@ Result<ShardedEngine> ShardedEngine::Build(const graph::Graph& graph,
   full_options.index = options.index;
   KDASH_ASSIGN_OR_RETURN(auto full, Engine::Build(graph, full_options));
 
-  ShardedEngine sharded;
   sharded.num_nodes_ = graph.num_nodes();
-  sharded.set_failure_policy(options.failure_policy);
   // A dedicated fan-out pool only when the requested size differs from the
   // shared pool's default — same single-default-pool policy (and same
   // no-materialization size check) as core::SearcherPool.
@@ -179,7 +151,8 @@ Result<ShardedEngine> ShardedEngine::Build(const graph::Graph& graph,
     sharded.owned_pool_ =
         std::make_unique<ThreadPool>(options.num_search_threads);
   }
-  sharded.bounds_ = MakeBounds(graph.num_nodes(), options.num_shards);
+  const std::vector<NodeId> bounds =
+      MakeBounds(graph.num_nodes(), options.num_shards);
 
   const int num_shards = options.num_shards;
   std::vector<std::optional<Engine>> shards(
@@ -188,26 +161,39 @@ Result<ShardedEngine> ShardedEngine::Build(const graph::Graph& graph,
       0, num_shards, /*grain=*/1, [&](Index begin, Index end, int) {
         for (Index s = begin; s < end; ++s) {
           const auto i = static_cast<std::size_t>(s);
-          shards[i] = Engine::FromIndex(full.index().Restrict(
-              sharded.bounds_[i], sharded.bounds_[i + 1]));
+          shards[i] = Engine::FromIndex(
+              full.index().Restrict(bounds[i], bounds[i + 1]));
         }
       });
-  sharded.shards_.reserve(static_cast<std::size_t>(num_shards));
-  for (auto& shard : shards) sharded.shards_.push_back(std::move(*shard));
-  sharded.InitShardScoreBounds();
-  sharded.control_->InitShardMetrics(sharded.shards_.size());
+  std::vector<int> ids;
+  for (auto& shard : shards) {
+    ids.push_back(static_cast<int>(sharded.shards_.size()));
+    sharded.shards_.push_back(std::move(*shard));
+  }
+  sharded.InitSlots(ids);
   return sharded;
 }
 
-void ShardedEngine::InitShardScoreBounds() {
-  shard_score_bounds_.clear();
-  shard_score_bounds_.reserve(shards_.size());
-  for (const Engine& shard : shards_) {
-    shard_score_bounds_.push_back(shard.index().owned_score_bound());
+void ShardedEngine::InitSlots(const std::vector<int>& ids) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const core::KDashIndex& index = shards_[s].index();
+    FanOutSlot slot;
+    slot.id = ids[s];
+    slot.owned_begin = index.owned_begin();
+    slot.owned_end = index.owned_end();
+    slot.score_bound = index.owned_score_bound();
+    slots_.push_back(slot);
+    control_->m_shard_latency_us.push_back(
+        &obs::MetricRegistry::Global().GetHistogram(
+            "serving.shard_latency_us.s" + std::to_string(ids[s])));
   }
 }
 
 Status ShardedEngine::Save(const std::string& dir) const {
+  if (owned_nodes() != num_nodes_) {
+    return Status::FailedPrecondition(
+        "cannot save an engine opened on a subset of its shards");
+  }
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -238,7 +224,8 @@ Status ShardedEngine::Save(const std::string& dir) const {
   return Status::Ok();
 }
 
-Result<ShardedEngine> ShardedEngine::Open(const std::string& dir) {
+Result<ShardedEngine> ShardedEngine::Open(const std::string& dir,
+                                          std::vector<int> shard_ids) {
   const std::string manifest_path = dir + "/" + kManifestName;
   std::ifstream manifest(manifest_path);
   if (!manifest.good()) {
@@ -301,28 +288,50 @@ Result<ShardedEngine> ShardedEngine::Open(const std::string& dir) {
     files[s] = std::move(file);
   }
 
-  // Load the shard files in parallel on the shared pool.
-  std::vector<std::optional<Engine>> loaded(shard_count);
-  std::vector<Status> statuses(shard_count);
+  if (shard_ids.empty()) {
+    for (int s = 0; s < static_cast<int>(shard_count); ++s) {
+      shard_ids.push_back(s);
+    }
+  }
+  std::sort(shard_ids.begin(), shard_ids.end());
+  for (std::size_t i = 0; i < shard_ids.size(); ++i) {
+    if (shard_ids[i] < 0 || shard_ids[i] >= static_cast<int>(shard_count)) {
+      return Status::InvalidArgument(
+          "shard id " + std::to_string(shard_ids[i]) + " is not in [0, " +
+          std::to_string(shard_count) + ")");
+    }
+    if (i > 0 && shard_ids[i] == shard_ids[i - 1]) {
+      return Status::InvalidArgument("shard id " +
+                                     std::to_string(shard_ids[i]) +
+                                     " listed twice");
+    }
+  }
+
+  // Load the listed shard files in parallel on the shared pool.
+  const std::size_t load_count = shard_ids.size();
+  std::vector<std::optional<Engine>> loaded(load_count);
+  std::vector<Status> statuses(load_count);
   ThreadPool::Shared().ParallelFor(
-      0, static_cast<Index>(shard_count), /*grain=*/1,
+      0, static_cast<Index>(load_count), /*grain=*/1,
       [&](Index begin, Index end, int) {
-        for (Index s = begin; s < end; ++s) {
-          const auto i = static_cast<std::size_t>(s);
-          auto engine = Engine::Open(dir + "/" + files[i]);
+        for (Index i = begin; i < end; ++i) {
+          const auto at = static_cast<std::size_t>(i);
+          const auto s = static_cast<std::size_t>(shard_ids[at]);
+          auto engine = Engine::Open(dir + "/" + files[s]);
           if (engine.ok()) {
-            loaded[i].emplace(std::move(*engine));
+            loaded[at].emplace(std::move(*engine));
           } else {
-            statuses[i] = engine.status();
+            statuses[at] = engine.status();
           }
         }
       });
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    if (!statuses[s].ok()) {
-      return Status(statuses[s].code(), "shard " + std::to_string(s) + ": " +
-                                            statuses[s].message());
+  for (std::size_t i = 0; i < load_count; ++i) {
+    const auto s = static_cast<std::size_t>(shard_ids[i]);
+    if (!statuses[i].ok()) {
+      return Status(statuses[i].code(), "shard " + std::to_string(s) + ": " +
+                                            statuses[i].message());
     }
-    const Engine& engine = *loaded[s];
+    const Engine& engine = *loaded[i];
     if (engine.num_nodes() != num_nodes ||
         engine.index().owned_begin() != bounds[s] ||
         engine.index().owned_end() != bounds[s + 1] ||
@@ -334,266 +343,55 @@ Result<ShardedEngine> ShardedEngine::Open(const std::string& dir) {
 
   ShardedEngine sharded;
   sharded.num_nodes_ = num_nodes;
-  sharded.bounds_ = std::move(bounds);
-  sharded.shards_.reserve(shard_count);
   for (auto& engine : loaded) sharded.shards_.push_back(std::move(*engine));
-  sharded.InitShardScoreBounds();
-  sharded.control_->InitShardMetrics(shard_count);
+  sharded.InitSlots(shard_ids);
   return sharded;
 }
 
 Status ShardedEngine::SearchShard(const Query& query, std::size_t s,
-                                  const ShardFailurePolicy& policy,
                                   SearchResult* out) const {
-  const bool retryable_mode = policy.mode != ShardFailureMode::kFailFast;
-  auto backoff = policy.initial_backoff;
-  for (int attempt = 0;; ++attempt) {
-    Status status = Status::Ok();
-    if (fault::AnyArmed()) {
-      // Two sites: a generic one for probabilistic chaos over the whole
-      // fan-out, and a per-shard one so tests can kill shard s exactly.
-      status = fault::Check("sharded.shard_search");
-      if (status.ok()) {
-        status = fault::Check("sharded.shard_search.s" + std::to_string(s));
-      }
-    }
-    if (status.ok()) {
-      obs::ScopedSpan span(query.trace.get(), "sharded.shard_search",
-                           static_cast<int>(s));
-      WallTimer timer;
-      // Shard queries run with the trace detached: the shard engine is a
-      // plain Engine whose "engine.search" span would duplicate the
-      // per-shard span stamped here (with the shard id attached). The copy
-      // happens only for traced queries — the untraced hot path passes the
-      // caller's query through untouched.
-      auto result = [&] {
-        if (query.trace == nullptr) return shards_[s].Search(query);
-        Query shard_query = query;
-        shard_query.trace = nullptr;
-        return shards_[s].Search(shard_query);
-      }();
-      control_->m_shard_latency_us[s]->Record(
-          static_cast<std::uint64_t>(timer.Micros()));
-      if (result.ok()) {
-        *out = std::move(*result);
-        return Status::Ok();
-      }
-      status = result.status();
-    }
-    control_->shard_failures.fetch_add(1, std::memory_order_relaxed);
-    control_->m_shard_failures->Add();
-    // An invalid query fails identically on every shard and on every
-    // attempt — retrying or degrading would only mask the caller's bug.
-    if (!retryable_mode || status.code() == StatusCode::kInvalidArgument ||
-        attempt >= policy.max_retries) {
-      return status;
-    }
-    // Retry backoff is deadline-aware: an uncapped sleep could overshoot
-    // the query's remaining budget (up to max_backoff past it), burning
-    // wall-clock on a retry whose answer the caller will discard as
-    // DEADLINE_EXCEEDED anyway. Fail fast once the budget is gone, and
-    // never sleep past it.
-    auto sleep = backoff;
-    if (query.deadline != std::chrono::steady_clock::time_point::max()) {
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::microseconds>(query.deadline -
-                                     std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) {
-        return Status::DeadlineExceeded(
-            "deadline expired before shard " + std::to_string(s) +
-            " retry: " + status.message());
-      }
-      sleep = std::min(sleep, remaining);
-    }
-    control_->shard_retries.fetch_add(1, std::memory_order_relaxed);
-    control_->m_shard_retries->Add();
-    if (sleep.count() > 0) std::this_thread::sleep_for(sleep);
-    backoff = std::min(backoff * 2, policy.max_backoff);
+  const int id = slots_[s].id;
+  if (fault::AnyArmed()) {
+    // Two sites: a generic one for probabilistic chaos over the whole
+    // fan-out, and a per-shard one so tests can kill shard s exactly.
+    KDASH_RETURN_IF_ERROR(fault::Check("sharded.shard_search"));
+    KDASH_RETURN_IF_ERROR(
+        fault::Check("sharded.shard_search.s" + std::to_string(id)));
   }
-}
-
-Result<std::vector<SearchResult>> ShardedEngine::FanOut(
-    std::span<const Query> queries) const {
-  const std::size_t num_queries = queries.size();
-  const auto shard_count = shards_.size();
-  const ShardFailurePolicy policy = failure_policy();  // one snapshot per call
-
-  // Flat (query × shard) slots: partial answers land in fixed positions, so
-  // the merge below is deterministic regardless of which worker ran what.
-  std::vector<SearchResult> partials(num_queries * shard_count);
-  std::vector<Status> statuses(num_queries * shard_count);
-
-  // Runs the given flat slots on the pool.
-  const auto run_slots = [&](const std::vector<Index>& slots) {
-    Pool().ParallelFor(
-        0, static_cast<Index>(slots.size()), /*grain=*/1,
-        [&](Index begin, Index end, int) {
-          for (Index t = begin; t < end; ++t) {
-            const auto i =
-                static_cast<std::size_t>(slots[static_cast<std::size_t>(t)]);
-            const std::size_t q = i / shard_count;
-            const std::size_t s = i % shard_count;
-            statuses[i] = SearchShard(queries[q], s, policy, &partials[i]);
-          }
-        });
-  };
-
-  const bool skip = shard_count > 1 &&
-                    control_->skip_enabled.load(std::memory_order_relaxed);
-  if (!skip) {
-    std::vector<Index> all(num_queries * shard_count);
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      all[i] = static_cast<Index>(i);
-    }
-    run_slots(all);
-  } else {
-    // Phase A: source-owning shards are mandatory — the per-shard score
-    // bound holds only for non-source nodes (a source's own proximity can
-    // reach c). Their exact partial top-k seeds each query's threshold.
-    std::vector<char> mandatory(num_queries * shard_count, 0);
-    const auto shard_of = [&](NodeId u) {
-      return static_cast<std::size_t>(
-                 std::upper_bound(bounds_.begin(), bounds_.end(), u) -
-                 bounds_.begin()) -
-             1;
-    };
-    std::vector<Index> phase_a;
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      for (const NodeId source : queries[q].sources) {
-        // An out-of-range source is a caller bug every shard rejects
-        // identically; leave it to per-shard validation in phase B.
-        if (source < 0 || source >= num_nodes_) continue;
-        char& slot = mandatory[q * shard_count + shard_of(source)];
-        if (!slot) {
-          slot = 1;
-          phase_a.push_back(
-              static_cast<Index>(q * shard_count + shard_of(source)));
-        }
-      }
-    }
-    run_slots(phase_a);
-
-    // Phase B: every remaining shard whose bound could still beat the
-    // threshold the mandatory partials establish. A skipped slot keeps its
-    // default Ok status and empty partial — the merge below then counts it
-    // as a surviving shard that contributed no candidates, which is exactly
-    // what the bound proves.
-    std::vector<Index> phase_b;
-    for (std::size_t q = 0; q < num_queries; ++q) {
-      Scalar theta = 0.0;
-      if (queries[q].k > 0) {  // k == 0 is invalid; let phase B report it
-        TopKHeap seed(queries[q].k);
-        for (std::size_t s = 0; s < shard_count; ++s) {
-          const std::size_t i = q * shard_count + s;
-          if (!mandatory[i] || !statuses[i].ok()) continue;
-          for (const ScoredNode& entry : partials[i].top) {
-            seed.Push(entry.node, entry.score);
-          }
-        }
-        // 0 until k candidates exist — a partial heap can never justify a
-        // skip. Under kDegrade a failed mandatory shard only lowers θ,
-        // which is conservative.
-        theta = seed.Threshold();
-      }
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        const std::size_t i = q * shard_count + s;
-        if (mandatory[i]) continue;
-        // Strict <: a tied score with a smaller node id could still enter
-        // under the (score desc, id asc) total order.
-        if (theta > 0.0 && shard_score_bounds_[s] < theta) {
-          control_->shards_skipped.fetch_add(1, std::memory_order_relaxed);
-          control_->m_shards_skipped->Add();
-          obs::ScopedSpan span(queries[q].trace.get(), "sharded.shard_skip",
-                               static_cast<int>(s));
-        } else {
-          phase_b.push_back(static_cast<Index>(i));
-        }
-      }
-    }
-    run_slots(phase_b);
-  }
-
-  const auto fail_query = [&](std::size_t q,
-                              const Status& status) -> Status {
-    if (num_queries == 1) return status;
-    return Status(status.code(),
-                  "query " + std::to_string(q) + ": " + status.message());
-  };
-
-  // Per-query failure domains: a shard failure poisons only its own query,
-  // and only as far as the policy allows. Scanning shards in slot order
-  // keeps the reported error deterministic regardless of fan-out timing.
-  const bool degrade = policy.mode == ShardFailureMode::kDegrade;
-  std::vector<SearchResult> results(num_queries);
-  for (std::size_t q = 0; q < num_queries; ++q) {
-    int ok_shards = 0;
-    const Status* first_failure = nullptr;
-    bool invalid = false;
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      const Status& status = statuses[q * shard_count + s];
-      if (status.ok()) {
-        ++ok_shards;
-      } else {
-        if (first_failure == nullptr) first_failure = &status;
-        invalid |= status.code() == StatusCode::kInvalidArgument;
-      }
-    }
-    const int failed_shards = static_cast<int>(shard_count) - ok_shards;
-    if (failed_shards > 0) {
-      // kInvalidArgument is never degradable (see ShardFailureMode), and
-      // fail-fast/retry-exhausted failures keep today's whole-call
-      // contract.
-      if (invalid || !degrade) return fail_query(q, *first_failure);
-      if (ok_shards < policy.min_shards_ok) {
-        return fail_query(
-            q, Status(first_failure->code(),
-                      "degraded below min_shards_ok (" +
-                          std::to_string(ok_shards) + "/" +
-                          std::to_string(shard_count) + " shards ok): " +
-                          first_failure->message()));
-      }
-      control_->degraded_queries.fetch_add(1, std::memory_order_relaxed);
-      control_->m_degraded_queries->Add();
-    }
-
-    // Exact merge over the surviving shards: each returned the exact top-k
-    // among its own nodes, so the k best of their union under the
-    // library-wide (score desc, id asc) total order is exactly what a
-    // single engine restricted to those node ranges would return.
-    obs::ScopedSpan merge_span(queries[q].trace.get(), "sharded.merge");
-    WallTimer merge_timer;
-    TopKHeap heap(queries[q].k);
-    core::SearchStats merged;
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      if (!statuses[q * shard_count + s].ok()) continue;
-      const SearchResult& partial = partials[q * shard_count + s];
-      for (const ScoredNode& entry : partial.top) {
-        heap.Push(entry.node, entry.score);
-      }
-      merged.nodes_visited += partial.stats.nodes_visited;
-      merged.proximity_computations += partial.stats.proximity_computations;
-      merged.terminated_early |= partial.stats.terminated_early;
-      merged.tree_size += partial.stats.tree_size;
-    }
-    results[q].top = heap.Sorted();
-    results[q].stats = merged;
-    results[q].shards_ok = ok_shards;
-    results[q].shards_failed = failed_shards;
-    control_->m_merge_us->Record(
-        static_cast<std::uint64_t>(merge_timer.Micros()));
-  }
-  return results;
+  obs::ScopedSpan span(query.trace.get(), "sharded.shard_search", id);
+  WallTimer timer;
+  // Shard queries run with the trace detached: the shard engine is a plain
+  // Engine whose "engine.search" span would duplicate the per-shard span
+  // stamped here (with the shard id attached). The copy happens only for
+  // traced queries — the untraced hot path passes the caller's query
+  // through untouched.
+  auto result = [&] {
+    if (query.trace == nullptr) return shards_[s].Search(query);
+    Query shard_query = query;
+    shard_query.trace = nullptr;
+    return shards_[s].Search(shard_query);
+  }();
+  control_->m_shard_latency_us[s]->Record(
+      static_cast<std::uint64_t>(timer.Micros()));
+  if (!result.ok()) return result.status();
+  *out = std::move(*result);
+  return Status::Ok();
 }
 
 Result<SearchResult> ShardedEngine::Search(const Query& query) const {
-  KDASH_ASSIGN_OR_RETURN(auto results, FanOut({&query, 1}));
+  KDASH_ASSIGN_OR_RETURN(auto results, SearchBatch({&query, 1}));
   return std::move(results.front());
 }
 
 Result<std::vector<SearchResult>> ShardedEngine::SearchBatch(
     std::span<const Query> queries) const {
   if (queries.empty()) return std::vector<SearchResult>{};
-  return FanOut(queries);
+  return FanOut(
+      queries, slots_, failure_policy(), Pool(),
+      [this](const Query& query, std::size_t s, int, SearchResult* out) {
+        return SearchShard(query, s, out);
+      },
+      control_->report);
 }
 
 }  // namespace kdash::serving

@@ -27,7 +27,6 @@
 #ifndef KDASH_SERVING_SHARDED_ENGINE_H_
 #define KDASH_SERVING_SHARDED_ENGINE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -38,41 +37,9 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "graph/graph.h"
+#include "serving/fan_out.h"
 
 namespace kdash::serving {
-
-// What the fan-out does when one shard's search fails (an injected fault, a
-// failed IO-backed shard, an internal error) while the others succeed. A
-// kInvalidArgument is never subject to this policy: every shard validates
-// the query identically, so an invalid query fails the call outright under
-// every mode — degradation must never mask caller bugs.
-enum class ShardFailureMode {
-  // Today's behavior and the default: the first shard failure fails the
-  // whole query (SearchBatch: the whole batch).
-  kFailFast,
-  // Retry the failing shard with bounded exponential backoff; if it still
-  // fails after max_retries extra attempts, fail the query.
-  kRetry,
-  // Retry like kRetry, then drop the shard: merge the surviving shards
-  // exactly and tag the result (shards_ok/shards_failed). Fails only when
-  // fewer than min_shards_ok shards survive.
-  kDegrade,
-};
-
-struct ShardFailurePolicy {
-  ShardFailureMode mode = ShardFailureMode::kFailFast;
-
-  // Extra attempts per shard per query (kRetry/kDegrade). 0 = no retries.
-  int max_retries = 2;
-
-  // Backoff before retry r is initial_backoff · 2^r, capped at max_backoff.
-  std::chrono::microseconds initial_backoff{100};
-  std::chrono::microseconds max_backoff{10'000};
-
-  // kDegrade: a query needs at least this many surviving shards, else it
-  // fails with the first shard's error.
-  int min_shards_ok = 1;
-};
 
 struct ShardedEngineOptions {
   // Number of node partitions. Must be in [1, num_nodes]; each shard owns a
@@ -87,7 +54,7 @@ struct ShardedEngineOptions {
   // always borrow the shared pool so P shards never spawn P pools.
   int num_search_threads = 0;
 
-  // Per-shard failure handling for Search/SearchBatch (see above).
+  // Per-shard failure handling for Search/SearchBatch (see fan_out.h).
   ShardFailurePolicy failure_policy;
 };
 
@@ -109,9 +76,18 @@ class ShardedEngine {
   // kNotFound, malformed manifest = kDataLoss, version mismatch =
   // kFailedPrecondition, shards not partitioning [0, n) = kDataLoss). Shard
   // files load in parallel on the thread pool.
-  [[nodiscard]] static Result<ShardedEngine> Open(const std::string& dir);
+  //
+  // `shard_ids` loads only those shards (empty = all): the engine then
+  // answers with the exact top-k over the nodes they own, which is what one
+  // worker of a distributed topology serves. The whole manifest is still
+  // validated; an id out of range or listed twice is kInvalidArgument.
+  // shard(s) follows ascending shard id.
+  [[nodiscard]] static Result<ShardedEngine> Open(
+      const std::string& dir, std::vector<int> shard_ids = {});
 
-  // Persist as a directory: MANIFEST plus one index file per shard.
+  // Persist as a directory: MANIFEST plus one index file per shard. An
+  // engine opened on a subset of shards cannot write a complete manifest
+  // (kFailedPrecondition).
   [[nodiscard]] Status Save(const std::string& dir) const;
 
   // Fan one query out to every shard (in parallel) and merge the per-shard
@@ -133,25 +109,25 @@ class ShardedEngine {
   NodeId num_nodes() const { return num_nodes_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
+  // Nodes owned across the loaded shards (num_nodes() unless opened on a
+  // subset).
+  NodeId owned_nodes() const;
+
   // The shard engine owning node range [shard_begin(s), shard_end(s)).
   const Engine& shard(int s) const { return shards_[static_cast<std::size_t>(s)]; }
-  NodeId shard_begin(int s) const { return bounds_[static_cast<std::size_t>(s)]; }
-  NodeId shard_end(int s) const { return bounds_[static_cast<std::size_t>(s) + 1]; }
+  NodeId shard_begin(int s) const { return slot(s).owned_begin; }
+  NodeId shard_end(int s) const { return slot(s).owned_end; }
 
-  // ---- shard-skip acceleration --------------------------------------------
+  // ---- shard skipping -----------------------------------------------------
   //
   // Each shard carries a precomputed upper bound on the proximity any query
   // can assign to a NON-SOURCE node it owns (KDashIndex::owned_score_bound,
-  // derived from the Lemma-1 estimator: p(u) ≤ c′(u)·Amax). The fan-out
-  // first searches the source-owning shards — mandatory, since a source
-  // escapes the bound — then skips any remaining shard whose bound is
-  // strictly below the top-k threshold those partials establish: no owned
-  // node of a skipped shard can displace k already-found candidates under
-  // the (score desc, id asc) total order, so results stay bit-identical.
-  // With c = 0.95 the bound is ≈ 0.05, so skips fire mostly on k=1
-  // single-source workloads where the source shard alone yields θ ≈ c.
-  bool skip_enabled() const;
-  void set_skip_enabled(bool enabled);
+  // derived from the Lemma-1 estimator: p(u) ≤ c′(u)·Amax). The shared
+  // fan-out (fan_out.h) searches the source-owning shards first, then skips
+  // any remaining shard whose bound is strictly below the top-k threshold
+  // those partials establish; results stay bit-identical. With c = 0.95
+  // the bound is ≈ 0.05, so skips fire mostly on k=1 single-source
+  // workloads where the source shard alone yields θ ≈ c.
 
   // Cumulative (query, shard) fan-out slots pruned by the bound, across
   // every Search/SearchBatch on this engine. Also mirrored into the
@@ -159,16 +135,15 @@ class ShardedEngine {
   std::uint64_t shards_skipped() const;
 
   // Shard s's precomputed score bound (diagnostics/tests).
-  Scalar shard_score_bound(int s) const {
-    return shard_score_bounds_[static_cast<std::size_t>(s)];
-  }
+  Scalar shard_score_bound(int s) const { return slot(s).score_bound; }
 
   // Failure policy. The setter is for engines opened from disk (Open takes
-  // no options). Both are thread-safe: the policy lives behind its own
-  // mutex and every fan-out snapshots it once at entry, so a concurrent
-  // set_failure_policy applies to whole queries, never to half a fan-out.
+  // no options) and rejects what ValidateFailurePolicy rejects. Both are
+  // thread-safe: the policy lives behind its own mutex and every fan-out
+  // snapshots it once at entry, so a concurrent set_failure_policy applies
+  // to whole queries, never to half a fan-out.
   ShardFailurePolicy failure_policy() const;
-  void set_failure_policy(const ShardFailurePolicy& policy);
+  [[nodiscard]] Status set_failure_policy(const ShardFailurePolicy& policy);
 
   // Cumulative failure-domain counters across every Search/SearchBatch on
   // this engine (thread-safe; snapshot semantics).
@@ -190,40 +165,34 @@ class ShardedEngine {
   ~ShardedEngine();
 
  private:
-  // Atomic FailureStats backing store plus the mutex-guarded failure
-  // policy (see .cc). Behind a unique_ptr: atomics and Mutex are neither
-  // movable nor copyable, but a ShardedEngine is movable.
+  // The fan-out report (tallies, metric handles), per-shard latency
+  // histograms and the mutex-guarded failure policy (see .cc). Behind a
+  // unique_ptr: atomics and Mutex are neither movable nor copyable, but a
+  // ShardedEngine is movable.
   struct ControlBlock;
 
   ShardedEngine();
 
-  // Runs (query, shard) pairs on the serving pool in two phases — the
-  // source-owning shards first, then every non-skipped remainder — and
-  // merges shard partial top lists per query. A skipped slot keeps its
-  // default Ok status and empty partial, so the merge treats it as a
-  // surviving shard that contributed no candidates. Snapshots the failure
-  // policy once.
-  [[nodiscard]] Result<std::vector<SearchResult>> FanOut(
-      std::span<const Query> queries) const;
+  const FanOutSlot& slot(int s) const {
+    return slots_[static_cast<std::size_t>(s)];
+  }
 
-  // Fills shard_score_bounds_ from the shards' indexes (Build/Open tail).
-  void InitShardScoreBounds();
+  // Fills slots_ and the per-shard metrics from the loaded shards, whose
+  // global shard ids are `ids` (Build/Open tail).
+  void InitSlots(const std::vector<int>& ids);
 
-  // One shard's attempt(s) at one query under the given policy snapshot:
-  // evaluates the fault-injection sites, retries with bounded exponential
-  // backoff when the policy says so, and returns the last failure
-  // otherwise.
+  // One attempt of one query on shard s: the fault-injection sites, the
+  // per-shard span and latency histogram, the shard search itself.
   [[nodiscard]] Status SearchShard(const Query& query, std::size_t s,
-                     const ShardFailurePolicy& policy, SearchResult* out) const;
+                                   SearchResult* out) const;
 
   // The fan-out pool: owned when num_search_threads was set to a size that
   // differs from the shared pool's, the process-wide shared pool otherwise.
   ThreadPool& Pool() const;
 
   NodeId num_nodes_ = 0;
-  std::vector<NodeId> bounds_;  // P + 1 fenceposts: shard s = [b[s], b[s+1])
   std::vector<Engine> shards_;
-  std::vector<Scalar> shard_score_bounds_;  // parallel to shards_
+  std::vector<FanOutSlot> slots_;  // parallel to shards_
   std::unique_ptr<ThreadPool> owned_pool_;
   std::unique_ptr<ControlBlock> control_;
 };

@@ -10,12 +10,13 @@
 //
 // Workers here are the real thing minus the process boundary: each one is
 // a tools::LineServer over a BatchScheduler over shard engines — the exact
-// stack tools/kdash_worker.cc runs — listening on an ephemeral loopback
-// port. Killing one (Stop + drain) looks like a worker crash to the
+// stack `kdash_server <dir> --shards=... --port=N` runs — listening on an
+// ephemeral loopback port. Killing one (Stop + drain) looks like a worker crash to the
 // router: connects refused, pooled connections EOF.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
@@ -76,12 +77,19 @@ class TestWorker {
   std::thread thread_;
 };
 
-// A worker backend serving exactly one shard engine of a ShardedEngine —
-// what `kdash_worker dir/ --shard=s` runs. The engine must outlive the
-// worker.
+// A worker backend serving exactly one shard engine of a ShardedEngine.
+// The engine must outlive the worker.
 BatchScheduler::Backend ShardBackend(const Engine& shard) {
   return [&shard](std::span<const Query> queries) {
     return shard.SearchBatch(queries);
+  };
+}
+
+// A worker backend over a subset of a saved sharded index — what
+// `kdash_server dir/ --shards=a,b` runs.
+BatchScheduler::Backend SubsetBackend(const ShardedEngine& subset) {
+  return [&subset](std::span<const Query> queries) {
+    return subset.SearchBatch(queries);
   };
 }
 
@@ -265,10 +273,106 @@ TEST_F(RemoteServingTest, KilledWorkerDegradesExactlyLikeInProcessFault) {
   // Under kFailFast the same dead worker fails the whole query instead.
   ShardFailurePolicy fail_fast;
   fail_fast.mode = ShardFailureMode::kFailFast;
-  (*router)->set_failure_policy(fail_fast);
+  ASSERT_TRUE((*router)->set_failure_policy(fail_fast).ok());
   const auto failed = (*router)->Search(probe_query);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+}
+
+TEST_F(RemoteServingTest, MultiShardWorkersMatchInProcessEngine) {
+  // Two workers over one saved P=3 index: one owns shards {0, 2}, the
+  // other shard {1}. The router must not be able to tell this topology
+  // from the in-process engine over all three shards.
+  const auto graph = test::RandomDirectedGraph(120, 700, 17);
+  ShardFailurePolicy policy;
+  policy.mode = ShardFailureMode::kDegrade;
+  policy.max_retries = 1;
+  policy.initial_backoff = std::chrono::microseconds(100);
+  const auto sharded = BuildSharded(graph, 3, policy);
+  const std::string dir = ::testing::TempDir() + "/kdash_remote_multi_shard";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(sharded.Save(dir).ok());
+  auto outer = ShardedEngine::Open(dir, {0, 2});
+  auto middle = ShardedEngine::Open(dir, {1});
+  ASSERT_TRUE(outer.ok()) << outer.status();
+  ASSERT_TRUE(middle.ok()) << middle.status();
+
+  auto outer_worker = std::make_unique<TestWorker>(
+      SubsetBackend(*outer),
+      WorkerStream(outer->num_shards(), outer->owned_nodes()));
+  TestWorker middle_worker(
+      SubsetBackend(*middle),
+      WorkerStream(middle->num_shards(), middle->owned_nodes()));
+  auto options = FastOptions(ShardFailureMode::kDegrade);
+  options.failure_policy.max_retries = 1;
+  auto router = Router::Connect(
+      "127.0.0.1:" + std::to_string(outer_worker->port()) + ",127.0.0.1:" +
+          std::to_string(middle_worker.port()),
+      options);
+  ASSERT_TRUE(router.ok()) << router.status();
+  // The {0, 2} worker's pong advertised two shards and their nodes.
+  EXPECT_EQ((*router)->worker(0, 0).shard_weight(), 2);
+  EXPECT_EQ((*router)->worker(0, 0).advertised_nodes(), outer->owned_nodes());
+  EXPECT_EQ((*router)->shards_total(), 3);
+
+  const auto queries = MixedQueries(graph.num_nodes());
+  const auto expect_parity = [](const SearchResult& got,
+                                const SearchResult& expected,
+                                const std::string& what) {
+    ExpectBitIdentical(got, expected, what);
+    EXPECT_EQ(got.stats.nodes_visited, expected.stats.nodes_visited) << what;
+    EXPECT_EQ(got.stats.proximity_computations,
+              expected.stats.proximity_computations)
+        << what;
+    EXPECT_EQ(got.stats.tree_size, expected.stats.tree_size) << what;
+    EXPECT_EQ(got.stats.terminated_early, expected.stats.terminated_early)
+        << what;
+    EXPECT_EQ(got.shards_ok, 3) << what;
+    EXPECT_EQ(got.shards_failed, 0) << what;
+  };
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto expected = sharded.Search(queries[i]);
+    const auto got = (*router)->Search(queries[i]);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ASSERT_TRUE(got.ok()) << got.status();
+    expect_parity(*got, *expected, "query " + std::to_string(i));
+  }
+  const auto expected_batch = sharded.SearchBatch(queries);
+  const auto got_batch = (*router)->SearchBatch(queries);
+  ASSERT_TRUE(expected_batch.ok()) << expected_batch.status();
+  ASSERT_TRUE(got_batch.ok()) << got_batch.status();
+  ASSERT_EQ(got_batch->size(), expected_batch->size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    expect_parity((*got_batch)[i], (*expected_batch)[i],
+                  "batch query " + std::to_string(i));
+  }
+
+  // Killing the {0, 2} worker loses two shards at once.
+  outer_worker->Kill();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    SearchResult expected;
+    {
+      fault::ScopedFault s0("sharded.shard_search.s0", AlwaysFail());
+      fault::ScopedFault s2("sharded.shard_search.s2", AlwaysFail());
+      auto result = sharded.Search(queries[i]);
+      ASSERT_TRUE(result.ok()) << result.status();
+      expected = std::move(*result);
+    }
+    const auto got = (*router)->Search(queries[i]);
+    ASSERT_TRUE(got.ok()) << got.status();
+    const std::string what = "degraded query " + std::to_string(i);
+    ExpectBitIdentical(*got, expected, what);
+    EXPECT_EQ(got->shards_ok, 1) << what;
+    EXPECT_EQ(got->shards_failed, 2) << what;
+  }
+
+  // The router's policy setter validates like Connect does.
+  ShardFailurePolicy bad = options.failure_policy;
+  bad.min_shards_ok = 0;
+  EXPECT_EQ((*router)->set_failure_policy(bad).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*router)->failure_policy().min_shards_ok, 1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(RemoteServingTest, FailoverServesFromReplicaWhenPrimaryDies) {

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <vector>
 
+#include "common/top_k.h"
 #include "datasets/datasets.h"
 #include "serving/sharded_engine.h"
 #include "test_util.h"
@@ -138,7 +139,6 @@ TEST(ShardedEngineTest, ScoreBoundSkipFiresAndStaysBitIdentical) {
     options.num_shards = num_shards;
     auto sharded = ShardedEngine::Build(g, options);
     ASSERT_TRUE(sharded.ok());
-    ASSERT_TRUE(sharded->skip_enabled());  // on by default
     for (int s = 0; s < num_shards; ++s) {
       EXPECT_GT(sharded->shard_score_bound(s), 0.0);
       EXPECT_LE(sharded->shard_score_bound(s), 1.0);
@@ -155,25 +155,6 @@ TEST(ShardedEngineTest, ScoreBoundSkipFiresAndStaysBitIdentical) {
     any_skipped = any_skipped || sharded->shards_skipped() > 0;
   }
   EXPECT_TRUE(any_skipped);
-}
-
-TEST(ShardedEngineTest, DisablingSkipVisitsEveryShardAndMatches) {
-  const auto g = test::RandomDirectedGraph(150, 900, 29);
-  auto single = Engine::Build(g);
-  ASSERT_TRUE(single.ok());
-  ShardedEngineOptions options;
-  options.num_shards = 3;
-  auto sharded = ShardedEngine::Build(g, options);
-  ASSERT_TRUE(sharded.ok());
-  sharded->set_skip_enabled(false);
-  EXPECT_FALSE(sharded->skip_enabled());
-
-  std::vector<Query> queries;
-  for (NodeId q = 0; q < g.num_nodes(); q += 7) {
-    queries.push_back(Query::Single(q, 1));
-  }
-  ExpectIdentical(*single, *sharded, queries, "skip-off/P=3");
-  EXPECT_EQ(sharded->shards_skipped(), 0u);
 }
 
 TEST(ShardedEngineTest, MixedWorkloadWithSkipStaysBitIdentical) {
@@ -314,6 +295,65 @@ TEST(ShardedEngineTest, OpenRejectsMissingAndCorruptManifests) {
         << "shard 0 0 5 shard-0000.kdash\nshard 1 5 10 shard-0001.kdash\n";
     EXPECT_EQ(ShardedEngine::Open(dir).status().code(), StatusCode::kNotFound);
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardedEngineTest, OpenSubsetServesExactlyItsShards) {
+  const auto g = test::RandomDirectedGraph(90, 500, 19);
+  ShardedEngineOptions options;
+  options.num_shards = 3;
+  auto built = ShardedEngine::Build(g, options);
+  ASSERT_TRUE(built.ok());
+  const std::string dir = ::testing::TempDir() + "/kdash_sharded_subset";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(built->Save(dir).ok());
+
+  // Listed out of order; shard(s) follows ascending shard id.
+  auto subset = ShardedEngine::Open(dir, {2, 0});
+  ASSERT_TRUE(subset.ok()) << subset.status();
+  ASSERT_EQ(subset->num_shards(), 2);
+  EXPECT_EQ(subset->num_nodes(), g.num_nodes());
+  EXPECT_EQ(subset->shard_begin(0), built->shard_begin(0));
+  EXPECT_EQ(subset->shard_begin(1), built->shard_begin(2));
+  EXPECT_EQ(subset->owned_nodes(),
+            g.num_nodes() - (built->shard_end(1) - built->shard_begin(1)));
+
+  // Its answers are the exact merge of the two owned shards' answers.
+  for (const Query& query : MixedQueries(g.num_nodes())) {
+    TopKHeap heap(query.k);
+    for (const int s : {0, 2}) {
+      auto partial = built->shard(s).Search(query);
+      ASSERT_TRUE(partial.ok()) << partial.status();
+      for (const ScoredNode& entry : partial->top) {
+        heap.Push(entry.node, entry.score);
+      }
+    }
+    const auto expected = heap.Sorted();
+    const auto got = subset->Search(query);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(got->top.size(), expected.size());
+    for (std::size_t r = 0; r < expected.size(); ++r) {
+      EXPECT_EQ(got->top[r].node, expected[r].node) << "rank " << r;
+      EXPECT_EQ(got->top[r].score, expected[r].score) << "rank " << r;
+    }
+    EXPECT_EQ(got->shards_ok, 2);
+  }
+
+  // A subset cannot write a complete manifest.
+  EXPECT_EQ(subset->Save(dir + "-copy").code(),
+            StatusCode::kFailedPrecondition);
+
+  for (const std::vector<int>& bad :
+       {std::vector<int>{3}, std::vector<int>{-1}, std::vector<int>{1, 1}}) {
+    EXPECT_EQ(ShardedEngine::Open(dir, bad).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+
+  // Only the listed files are read: a missing shard 1 fails {1} alone.
+  std::filesystem::remove(dir + "/shard-0001.kdash");
+  EXPECT_EQ(ShardedEngine::Open(dir, {1}).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(ShardedEngine::Open(dir, {0, 2}).ok());
   std::filesystem::remove_all(dir);
 }
 

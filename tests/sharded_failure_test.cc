@@ -288,5 +288,26 @@ TEST_F(ShardedFailureTest, BuildRejectsBadPolicy) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(ShardedFailureTest, SetterRejectsBadPolicy) {
+  // min_shards_ok = 0 would let a query whose shards all fail come back OK
+  // with an empty top list; the setter must refuse it like Build does.
+  const auto graph = test::SmallDirectedGraph();
+  auto sharded = BuildSharded(graph);
+  ShardFailurePolicy bad;
+  bad.mode = ShardFailureMode::kDegrade;
+  bad.min_shards_ok = 0;
+  EXPECT_EQ(sharded.set_failure_policy(bad).code(),
+            StatusCode::kInvalidArgument);
+  bad.min_shards_ok = 1;
+  bad.max_retries = -1;
+  EXPECT_EQ(sharded.set_failure_policy(bad).code(),
+            StatusCode::kInvalidArgument);
+  // Nothing rejected took effect.
+  EXPECT_EQ(sharded.failure_policy().mode, ShardFailureMode::kFailFast);
+
+  fault::ScopedFault guard("sharded.shard_search", AlwaysFail());
+  EXPECT_FALSE(sharded.Search(Query::Single(0, 3)).ok());
+}
+
 }  // namespace
 }  // namespace kdash::serving

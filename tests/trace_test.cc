@@ -183,13 +183,6 @@ TEST(TraceEndToEndTest, SkippedShardStampsSkipSpan) {
   query.trace = std::make_shared<TraceContext>();
   ASSERT_TRUE(sharded->Search(query).ok());
   ASSERT_TRUE(HasStage(*query.trace, "sharded.shard_skip"));
-
-  // Disabling skipping removes the spans again.
-  sharded->set_skip_enabled(false);
-  Query unskipped = Query::Single(0, 1);
-  unskipped.trace = std::make_shared<TraceContext>();
-  ASSERT_TRUE(sharded->Search(unskipped).ok());
-  EXPECT_FALSE(HasStage(*unskipped.trace, "sharded.shard_skip"));
 }
 
 TEST(TraceEndToEndTest, CoalescedTracedRequestKeepsComputeSpans) {

@@ -12,7 +12,7 @@
 // snapshot, see obs/metrics.h).
 //
 // The last four tokens exist for the distributed tier (serving::Router →
-// kdash_worker), though any client may use them: `pruning=0` and
+// worker kdash_server), though any client may use them: `pruning=0` and
 // `root=<node>` carry the Query diagnostics fields that would otherwise be
 // unreachable over the wire, `deadline_us=<n>` hands the server the
 // request's *remaining* budget (it stamps Query::deadline n µs from
@@ -199,9 +199,8 @@ inline std::string FormatErrorRecord(long long id, const std::string& message,
 // Pong record, optionally carrying the responder's serving footprint:
 // `shards` (how many index shards this process serves — the router weighs
 // a worker's success/failure in shard units so its shards_ok/shards_failed
-// accounting matches an in-process ShardedEngine) and `nodes` (the graph
-// size, a cheap cross-worker sanity handshake). Negative values omit the
-// field, so plain servers keep byte-stable pongs.
+// accounting matches an in-process ShardedEngine) and `nodes` (how many
+// node ids those shards own). Negative values omit the field.
 inline std::string FormatPongRecord(long long id, long long t_us = -1,
                                     int shards = -1, long long nodes = -1) {
   std::string record = "{\"id\":" + std::to_string(id) + ",\"pong\":1";

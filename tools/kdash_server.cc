@@ -9,18 +9,25 @@
 //   kdash_server <index.kdash | sharded-index-dir/> [--k=5] [--batch=64]
 //                [--deadline-ms=0] [--window=256]
 //                [--max-queue=4096] [--degrade=fail|retry|degrade]
-//                [--cache-entries=1024] [--no-shard-skip]
+//                [--cache-entries=1024] [--shards=a,b,...]
 //                [--port=7607] [--stats-period=0]
 //   kdash_server --workers=host:port[+replica...][,slot2...] [common flags]
 //                [--no-hedge] [--hedge-delay-us=0] [--probe-period-ms=250]
 //
 // The index argument is a single-index file, or a directory written by
 // serving::ShardedEngine::Save (detected automatically; queries then fan
-// out across the shards and merge exactly).
+// out across the shards and merge exactly). --shards=a,b,... loads only
+// those shards of the directory: the server then answers with the exact
+// top-k over the nodes they own, and is one worker of a distributed
+// topology — killing it kills exactly those shards. Every pong of an
+// index-serving process advertises its footprint ({"shards":N,"nodes":M},
+// the shards and node ids it owns), which a router uses to weigh this
+// process's failure in shard units.
 //
 // Router mode (--workers= in place of an index path) serves no index
-// itself: every query fans out over TCP to the listed kdash_worker
-// processes — comma-separated slots, '+'-separated failover replicas
+// itself: every query fans out over TCP to the listed worker processes
+// (kdash_server <dir> --shards=... --port=N) — comma-separated slots,
+// '+'-separated failover replicas
 // within a slot — and the per-worker exact top-k answers merge into the
 // exact global top-k, bit-identical to the in-process sharded engine over
 // the same shards. --degrade selects the same failure policy across the
@@ -50,8 +57,8 @@
 //   --cache-entries=N  cross-batch result cache capacity (distinct query
 //                    identities); repeats of a cached query are answered
 //                    without touching the backend (0 = caching off)
-//   --no-shard-skip  disable the score-bound shard-skip optimization on
-//                    sharded indexes (every query visits every shard)
+//   --port=N         serve TCP on port N (0 picks an ephemeral port; the
+//                    bound port is on the "listening" stderr line)
 //
 //   --stats-period=N per-process metric snapshot (obs::MetricRegistry) to
 //                    stderr every N seconds (0 = off)
@@ -68,10 +75,13 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "core/engine.h"
@@ -88,7 +98,7 @@ struct ServerConfig {
   tools::StreamConfig stream;
   int port = -1;                         // -1 = stdin/stdout mode
   std::chrono::seconds stats_period{0};  // 0 = no periodic stats dump
-  bool shard_skip = true;                // sharded indexes only
+  std::vector<int> shards;               // sharded dir only; empty = all
   serving::BatchSchedulerOptions scheduler;
   serving::ShardFailurePolicy failure_policy;  // sharded/router backends
 
@@ -105,7 +115,7 @@ int Usage() {
                "                    [--batch=64] [--deadline-ms=0]\n"
                "                    [--window=256] [--max-queue=4096]\n"
                "                    [--degrade=fail|retry|degrade]\n"
-               "                    [--cache-entries=1024] [--no-shard-skip]\n"
+               "                    [--cache-entries=1024] [--shards=a,b,...]\n"
                "                    [--port=7607] [--stats-period=0]\n"
                "       kdash_server --workers=h:p[+h:p...][,h:p...]\n"
                "                    [--no-hedge] [--hedge-delay-us=0]\n"
@@ -118,6 +128,25 @@ using tools::NumericFlag;
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+// "a,b,..." of non-negative shard ids; false on anything else.
+bool ParseShardList(const std::string& text, std::vector<int>* shards) {
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    std::size_t comma = text.find(',', start);
+    if (comma == std::string::npos) comma = text.size();
+    const std::string token = text.substr(start, comma - start);
+    char* end = nullptr;
+    const long long parsed = std::strtoll(token.c_str(), &end, 10);
+    if (token.empty() || *end != '\0' || parsed < 0 ||
+        parsed > std::numeric_limits<int>::max()) {
+      return false;
+    }
+    shards->push_back(static_cast<int>(parsed));
+    start = comma + 1;
+  }
+  return true;
 }
 
 // ---- TCP mode --------------------------------------------------------------
@@ -177,8 +206,8 @@ int Main(int argc, char** argv) {
       config.scheduler.max_queue_depth = static_cast<std::size_t>(value);
     } else if (NumericFlag(arg, "--cache-entries", &value) && value >= 0) {
       config.scheduler.cache_entries = static_cast<std::size_t>(value);
-    } else if (arg == "--no-shard-skip") {
-      config.shard_skip = false;
+    } else if (std::string list; tools::FlagValue(arg, "--shards", &list)) {
+      if (!ParseShardList(list, &config.shards)) return Usage();
     } else if (arg == "--no-hedge") {
       config.router.hedging = false;
     } else if (NumericFlag(arg, "--hedge-delay-us", &value) && value >= 0) {
@@ -195,7 +224,7 @@ int Main(int argc, char** argv) {
       } else {
         return Usage();
       }
-    } else if (NumericFlag(arg, "--port", &value) && value > 0 &&
+    } else if (NumericFlag(arg, "--port", &value) && value >= 0 &&
                value < 65536) {
       config.port = static_cast<int>(value);
     } else if (NumericFlag(arg, "--stats-period", &value) && value >= 0) {
@@ -222,17 +251,23 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "routing to %d worker slot(s), %d shard(s) total\n",
                  router->num_slots(), router->shards_total());
   } else if (std::filesystem::is_directory(index_path)) {
-    auto opened = serving::ShardedEngine::Open(index_path);
+    auto opened = serving::ShardedEngine::Open(index_path, config.shards);
     if (!opened.ok()) return Fail(opened.status());
     sharded = std::make_unique<serving::ShardedEngine>(std::move(*opened));
-    sharded->set_failure_policy(config.failure_policy);
-    sharded->set_skip_enabled(config.shard_skip);
+    const Status policy = sharded->set_failure_policy(config.failure_policy);
+    if (!policy.ok()) return Fail(policy);
     backend = [&s = *sharded](std::span<const Query> queries) {
       return s.SearchBatch(queries);
     };
+    config.stream.pong_shards = sharded->num_shards();
+    config.stream.pong_nodes = sharded->owned_nodes();
     std::fprintf(stderr, "opened sharded index: %d nodes, %d shards\n",
-                 sharded->num_nodes(), sharded->num_shards());
+                 sharded->owned_nodes(), sharded->num_shards());
   } else {
+    if (!config.shards.empty()) {
+      return Fail(Status::InvalidArgument(
+          "--shards applies to sharded index directories only"));
+    }
     auto opened = Engine::Open(index_path);
     if (!opened.ok()) return Fail(opened.status());
     engine = std::make_unique<Engine>(std::move(*opened));
@@ -243,6 +278,8 @@ int Main(int argc, char** argv) {
     // grow a mutation endpoint; for today's read-only server it polls a
     // counter that never moves.
     config.scheduler.backend_epoch = [&e = *engine] { return e.update_epoch(); };
+    config.stream.pong_shards = 1;
+    config.stream.pong_nodes = engine->num_nodes();
     std::fprintf(stderr, "opened index: %d nodes\n", engine->num_nodes());
   }
 
@@ -251,7 +288,7 @@ int Main(int argc, char** argv) {
   int exit_code = 0;
   {
     const tools::StatsDumper stats_dumper(config.stats_period);
-    if (config.port > 0) {
+    if (config.port >= 0) {
       exit_code = ServeTcp(scheduler, config);
     } else {
       // Flush per record: an interactive client must see each response as

@@ -1,12 +1,11 @@
-// Shared TCP serving scaffolding for the tool binaries (kdash_server,
-// kdash_worker) and their tests.
+// Shared TCP serving scaffolding for kdash_server (front end, router and
+// worker alike) and its tests.
 //
 // Historically all of this lived inside kdash_server.cc, which made the
 // accept loop, the drain logic, and the slow-client handling untestable
 // under ctest — only the chaos-nightly shell job ever exercised them. The
-// distributed tier needs a second server binary (kdash_worker) and needs
-// tests to run real workers over loopback TCP in-process, so the
-// scaffolding moved here:
+// distributed tier needs tests to run real workers over loopback TCP
+// in-process, so the scaffolding moved here:
 //
 //   - LineServer: bind/listen/accept (EINTR-safe; port 0 picks an
 //     ephemeral port and exposes it), one thread per connection, a
@@ -63,15 +62,17 @@ namespace kdash::tools {
 // degrades to an EPIPE error return instead of killing the process.
 inline void IgnoreSigpipe() { std::signal(SIGPIPE, SIG_IGN); }
 
-// Per-stream serving knobs shared by kdash_server and kdash_worker.
+// Per-stream serving knobs of kdash_server.
 struct StreamConfig {
   std::size_t default_k = 5;
   std::chrono::milliseconds deadline{0};  // 0 = none
   std::size_t window = 256;               // max in-flight requests per stream
 
-  // Pong footprint advertisement (kdash_worker): shards served and node
-  // count, so a router can weigh this process's failures in shard units.
-  // Negative omits the fields (plain kdash_server pongs stay byte-stable).
+  // Pong footprint advertisement: the shards this process serves and the
+  // node ids they own, so a router can weigh this process's failures in
+  // shard units. kdash_server sets both whenever it serves an index (a
+  // single-index file counts as one shard); negative omits the fields, as
+  // in router mode.
   int pong_shards = -1;
   long long pong_nodes = -1;
 
